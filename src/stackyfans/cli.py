@@ -69,10 +69,12 @@ from .polyhedral import (
     all_cones,
     canonicalize_cone,
     is_unstable,
+    maximal_among,
     validate_fan,
 )
 from .stacky import (
     NotSubfanOfAffineSpace,
+    QuotientPresentation,
     StackyFan,
     StackyMorphism,
     gbeta,
@@ -231,6 +233,18 @@ def _weights_json(w: IntMatrix) -> list:
     return [list(w.column(j)) for j in range(w.cols)]
 
 
+def _pres_json(pres: QuotientPresentation) -> dict:
+    return {
+        "ambient_dim": pres.ambient_dim,
+        "removed_locus": [list(s) for s in pres.removed_locus],
+        "group": _group_json(pres.group),
+        "weights": _weights_json(pres.weights),
+        "fixed_coordinates": list(pres.fixed_coordinates),
+        "g0_rank": pres.g0_rank,
+        "text": pres.describe(),
+    }
+
+
 def _sf_text(sf: StackyFan) -> list[str]:
     lines = [f"lattice rank {sf.lattice_rank}, target Z^{sf.target.free_rank}"
              + "".join(f" + Z/{d}" for d in sf.target.torsion)]
@@ -368,30 +382,13 @@ def _cmd_gbeta(doc, args):
 def _cmd_present(doc, args):
     sf = _load_stacky_fan(doc, args.input)
     pres = present_quotient(sf, fixed_coordinates=args.zeros or ())
-    report = {
-        "ambient_dim": pres.ambient_dim,
-        "removed_locus": [list(s) for s in pres.removed_locus],
-        "group": _group_json(pres.group),
-        "weights": _weights_json(pres.weights),
-        "fixed_coordinates": list(pres.fixed_coordinates),
-        "g0_rank": pres.g0_rank,
-        "text": pres.describe(),
-    }
-    return report, [pres.describe()]
+    return _pres_json(pres), [pres.describe()]
 
 
 def _cmd_fantastack(doc, args):
     fan, images = _load_fan_datum(doc, args.input, need_images=True)
     sf, pres = fantastack(fan, images)
-    report = {"stacky_fan": _sf_json(sf), "presentation": {
-        "ambient_dim": pres.ambient_dim,
-        "removed_locus": [list(s) for s in pres.removed_locus],
-        "group": _group_json(pres.group),
-        "weights": _weights_json(pres.weights),
-        "fixed_coordinates": list(pres.fixed_coordinates),
-        "g0_rank": pres.g0_rank,
-        "text": pres.describe(),
-    }}
+    report = {"stacky_fan": _sf_json(sf), "presentation": _pres_json(pres)}
     return report, _sf_text(sf) + [pres.describe()]
 
 
@@ -416,8 +413,7 @@ def _cmd_unstable(doc, args):
     sf = _load_stacky_fan(doc, args.input)
     beta = sf.beta
     unstable = [c for c in all_cones(sf.fan) if is_unstable(c, beta)]
-    maximal = [c for c in unstable
-               if not any(set(c.rays) < set(d.rays) for d in unstable)]
+    maximal = maximal_among(unstable)
     tau = maximal[0] if len(maximal) == 1 else None
     report = {
         "unstable_cones": [_cone_json(c) for c in unstable],

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgab import FgAbHom, FgAbGroup, analyze_hom, free_group, identity_hom
+from .fgab import FgAbHom, analyze_hom, free_group, has_finite_cokernel, identity_hom
 from .polyhedral import (
     Cone,
     Fan,
-    ImageCone,
     NotStronglyConvex,
     PreconditionViolated,
     all_cones,
@@ -27,12 +26,12 @@ from .polyhedral import (
     image_cone,
     is_smooth_cone,
     is_unstable,
+    maximal_among,
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
 )
 from .stacky import (
-    NotSubfanOfAffineSpace,
     QuotientPresentation,
     StackyFan,
     StackyMorphism,
@@ -104,8 +103,7 @@ def fantastack(fan: Fan, beta_images: Sequence[Sequence[int]]) -> tuple[StackyFa
         idx = tuple(i for i, v in enumerate(images) if cone_contains(c, v))
         rays = tuple(sorted(tuple(1 if k == i else 0 for k in range(n)) for i in idx))
         hats.append(Cone(n, rays))
-    hats = tuple(sorted(hats, key=lambda c: (len(c.rays), c.rays)))
-    sf = StackyFan(Fan(n, hats), free_group(r), tuple(images))
+    sf = StackyFan(Fan(n, tuple(hats)), free_group(r), tuple(images))
     return sf, present_quotient(sf)
 
 
@@ -141,9 +139,7 @@ def canonical_stack(sf: StackyFan) -> CanonicalStackResult:
         sel = tuple(sorted(
             tuple(1 if k == pos[r] else 0 for k in range(nr)) for r in c.rays))
         new_cones.append(Cone(nr, sel))
-    canonical = StackyFan(
-        Fan(nr, tuple(sorted(new_cones, key=lambda c: (len(c.rays), c.rays)))),
-        sf.target, images)
+    canonical = StackyFan(Fan(nr, tuple(new_cones)), sf.target, images)
     morphism = StackyMorphism(canonical, sf, big, identity_hom(sf.target))
     return CanonicalStackResult(canonical, morphism)
 
@@ -166,6 +162,18 @@ def _require_valid_morphism(m: StackyMorphism) -> None:
             "not a morphism of stacky fans: " + "; ".join(diag.problems))
 
 
+def _onto_preimage(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
+    """The unique maximal cone of the fan mapping into target, if it maps onto it.
+
+    None when the cones mapping into target have no unique maximal element,
+    or when that element's image does not fill target.
+    """
+    sigma = preimage_fan(m, fan, target).single_cone
+    if sigma is None or not cone_contains_all(image_cone(m, sigma), target.rays):
+        return None
+    return sigma
+
+
 @dataclass(frozen=True)
 class IsoResult:
     verdict: bool
@@ -185,23 +193,21 @@ def is_isomorphism(m: StackyMorphism) -> IsoResult:
     3. that preimage maps isomorphically as a monoid (witness cone given).
     """
     _require_valid_morphism(m)
-    for side in (m.source, m.target):
-        if not analyze_hom(side.beta).cokernel.is_finite():
-            raise PreconditionViolated(
-                "isomorphism test needs finite cokernels on both sides")
+    if not (has_finite_cokernel(m.source.beta) and has_finite_cokernel(m.target.beta)):
+        raise PreconditionViolated(
+            "isomorphism test needs finite cokernels on both sides")
     an = analyze_hom(m.phi)
     if not (an.surjective and an.kernel.is_trivial()):
         return IsoResult(False, 1, None)
+    # every cone must pass condition 2 before any is tested for condition 3
+    onto = []
     for sp in all_cones(m.target.fan):
-        pf = preimage_fan(m.Phi, m.source.fan, sp)
-        if pf.single_cone is None:
+        sigma = _onto_preimage(m.Phi, m.source.fan, sp)
+        if sigma is None:
             return IsoResult(False, 2, sp)
-        img = image_cone(m.Phi, pf.single_cone)
-        if not cone_contains_all(img, sp.rays):
-            return IsoResult(False, 2, sp)
-    for sp in all_cones(m.target.fan):
-        pf = preimage_fan(m.Phi, m.source.fan, sp)
-        if not monoid_iso_on_cone(m.Phi, pf.single_cone, sp):
+        onto.append((sigma, sp))
+    for sigma, sp in onto:
+        if not monoid_iso_on_cone(m.Phi, sigma, sp):
             return IsoResult(False, 3, sp)
     return IsoResult(True, None, None)
 
@@ -227,18 +233,15 @@ def gms_check(m: StackyMorphism) -> GmsResult:
     4. ker(phi) / beta(tau-span) is finite.
     """
     _require_valid_morphism(m)
-    if not analyze_hom(m.source.beta).cokernel.is_finite():
+    if not has_finite_cokernel(m.source.beta):
         raise PreconditionViolated("good moduli space check needs finite cokernel")
     tau = None
     for sp in all_cones(m.target.fan):
-        pf = preimage_fan(m.Phi, m.source.fan, sp)
-        if pf.single_cone is None:
-            return GmsResult(False, "1", tau, m.target.fan)
-        img = image_cone(m.Phi, pf.single_cone)
-        if not cone_contains_all(img, sp.rays):
+        sigma = _onto_preimage(m.Phi, m.source.fan, sp)
+        if sigma is None:
             return GmsResult(False, "1", tau, m.target.fan)
         if sp.is_zero():
-            tau = pf.single_cone
+            tau = sigma
     if tau is None:
         # a fan with no cones at all; nothing to check
         tau = Cone(m.source.lattice_rank, ())
@@ -272,12 +275,10 @@ def gms_construct(sf: StackyFan) -> GmsResult:
     does not fit into the constructed fan; otherwise returns the quotient
     fan together with the morphism onto it.
     """
-    if not analyze_hom(sf.beta).cokernel.is_finite():
-        raise PreconditionViolated("good moduli space construction needs finite cokernel")
     beta = sf.beta
-    unstable = [c for c in all_cones(sf.fan) if is_unstable(c, beta)]
-    maximal = [c for c in unstable
-               if not any(set(c.rays) < set(d.rays) for d in unstable)]
+    if not has_finite_cokernel(beta):
+        raise PreconditionViolated("good moduli space construction needs finite cokernel")
+    maximal = maximal_among([c for c in all_cones(sf.fan) if is_unstable(c, beta)])
     if len(maximal) != 1:
         return GmsResult(False, "(i)", None, None)
     tau = maximal[0]
@@ -299,17 +300,11 @@ def gms_construct(sf: StackyFan) -> GmsResult:
         except NotStronglyConvex:
             continue
         candidates[cand.rays] = cand
-    kept = []
-    for cand in candidates.values():
-        pf = preimage_fan(big_phi, sf.fan, cand)
-        if pf.single_cone is None:
-            continue
-        img = image_cone(big_phi, pf.single_cone)
-        if cone_contains_all(img, cand.rays):
-            kept.append(cand)
+    kept = [cand for cand in candidates.values()
+            if _onto_preimage(big_phi, sf.fan, cand) is not None]
     maximal_new = [c for c in kept
                    if not any(c is not d and cone_contains_all(d, c.rays) for d in kept)]
-    gms_fan = Fan(rp, tuple(sorted(maximal_new, key=lambda c: (len(c.rays), c.rays))))
+    gms_fan = Fan(rp, tuple(maximal_new))
     for c in sf.fan.maximal_cones:
         imgs = [big_phi.apply(r) for r in c.rays]
         if not any(all(cone_contains(tc, w) for w in imgs) for tc in gms_fan.maximal_cones):
@@ -342,7 +337,7 @@ def _moduli_preconditions(sf: StackyFan) -> list[set[int]]:
     idx = _orthant_ray_indices(sf.fan)
     if sf.target.torsion:
         raise PreconditionViolated("moduli reading needs a free target")
-    if not analyze_hom(sf.beta).cokernel.is_finite():
+    if not has_finite_cokernel(sf.beta):
         raise PreconditionViolated("moduli reading needs finite cokernel")
     return idx
 
@@ -435,7 +430,7 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     base_dual = vanishing_sub(zset)
     mrank = base_dual.rows
     base_cols = [tuple(base_dual.entries[k][j - 1] for k in range(mrank)) for j in comp]
-    kept_cones = []
+    kept_cones = set()
     compset = set(comp)
     reindex = {j: k for k, j in enumerate(comp)}
     for c in sf.fan.maximal_cones:
@@ -443,10 +438,8 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
         inner = sorted(ray_idx & compset)
         rays = tuple(sorted(
             tuple(1 if k == reindex[j] else 0 for k in range(len(comp))) for j in inner))
-        kept_cones.append(Cone(len(comp), rays))
-    maximal = [c for c in kept_cones
-               if not any(set(c.rays) < set(d.rays) for d in kept_cones)]
-    base_fan = Fan(len(comp), tuple(sorted(set(maximal), key=lambda c: (len(c.rays), c.rays))))
+        kept_cones.add(Cone(len(comp), rays))
+    base_fan = Fan(len(comp), tuple(maximal_among(list(kept_cones))))
     base = StackyFan(base_fan, free_group(mrank), tuple(base_cols))
     restricted = IntMatrix.from_rows(
         [tuple(r[j - 1] for j in comp) for r in base_dual.entries], cols=len(comp))

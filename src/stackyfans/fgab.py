@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .zlinalg import (
     FgAbGroup,
@@ -33,7 +33,6 @@ from .zlinalg import (
     kernel_basis,
     normalized_group,
     rank,
-    snf,
     solve_integer,
     unimodular_inverse,
 )
@@ -46,6 +45,7 @@ __all__ = [
     "DiagGroupPresentation",
     "MappingConeDual",
     "analyze_hom",
+    "has_finite_cokernel",
     "verify_exact",
     "mapping_cone_dual",
     "induced_g1_hom",
@@ -172,6 +172,11 @@ def analyze_hom(f: FgAbHom) -> HomAnalysis:
         surjective=cok.is_trivial(),
         finite_kernel=kernel.free_rank == 0,
     )
+
+
+def has_finite_cokernel(f: FgAbHom) -> bool:
+    """Is the cokernel finite, i.e. does the image span the target rationally?"""
+    return rank(f.matrix.hstack(f.target.relations())) == f.target.ngens
 
 
 def verify_exact(seq: Sequence[FgAbHom]) -> bool:
@@ -315,10 +320,10 @@ def mapping_cone_dual(beta: FgAbHom) -> MappingConeDual:
     (free rows in Hermite form, torsion rows scaled to their lexicographic
     minimum among unit multiples).
     """
-    group, _, aut, _, bt = _g1_data(beta)
+    group, proj, aut, _, bt = _g1_data(beta)
     ell = beta.source.free_rank
     g0 = beta.target.ngens - rank(bt)
-    weights_raw = _g1_data(beta)[1].submatrix(range(group.ngens), range(ell))
+    weights_raw = proj.submatrix(range(group.ngens), range(ell))
     weights = _reduce_rows(group, aut @ weights_raw)
     return MappingConeDual(g0_rank=g0, g1=DiagGroupPresentation(group, weights))
 

@@ -3,21 +3,25 @@
 Cones are stored by their sorted primitive extreme rays, which is a
 canonical form for strongly convex cones.  The workhorse is an incremental
 double-description pass (:func:`halfspace_intersection`) used both to
-dualize generator descriptions and to intersect cones.  Everything is desk
-scale (ambient rank <= 6 or so, a dozen rays), so clarity wins over
-asymptotics throughout.
+dualize generator descriptions and to intersect cones.
+
+Derived structure lives on the immutable values and is computed once per
+value: a cone (or image cone) keeps its H-representation (equations and
+facet normals), and a fan keeps the list of all its cones.  Faces come from
+ray-facet incidences: the ray sets of the faces are the intersections of
+facet ray sets (Kaibel & Pfetsch 2002), so subsets of facets are never
+enumerated.  Everything is desk scale (ambient rank <= 6 or so, a dozen rays),
+so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .zlinalg import IntMatrix, Vec, determinant, rank, saturate, snf, solve_integer
-
-from math import gcd
+from .zlinalg import IntMatrix, Vec, determinant, row_rank, saturate, snf, solve_integer
 
 
 class NotStronglyConvex(Exception):
@@ -32,6 +36,11 @@ def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _size_order(rays: tuple[Vec, ...]) -> tuple:
+    """Sort key of cones and faces: number of rays, then the rays."""
+    return len(rays), rays
+
+
 def primitive(v: Sequence[int]) -> Optional[Vec]:
     """Primitive integer vector on the same ray, or None for the zero vector."""
     g = 0
@@ -40,36 +49,6 @@ def primitive(v: Sequence[int]) -> Optional[Vec]:
     if g == 0:
         return None
     return tuple(x // g for x in v)
-
-
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a small integer matrix by fraction-free elimination."""
-    work = [list(r) for r in rows if any(r)]
-    rk = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        piv = next((i for i, r in enumerate(work) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        pivot = work.pop(piv)
-        rk += 1
-        p = pivot[col]
-        reduced = []
-        for r in work:
-            if r[col] != 0:
-                r = [p * a - r[col] * b for a, b in zip(r, pivot)]
-                g = 0
-                for x in r:
-                    g = gcd(g, x)
-                if g > 1:
-                    r = [x // g for x in r]
-            if any(r):
-                reduced.append(r)
-        work = reduced
-        col += 1
-    return rk
 
 
 def halfspace_intersection(normals: Sequence[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
@@ -128,16 +107,19 @@ def halfspace_intersection(normals: Sequence[Vec], dim: int) -> tuple[list[Vec],
         pruned = []
         for r in dict.fromkeys(rays):
             active = [c for c in seen if _dot(c, r) == 0]
-            if _int_rank(active) == target:
+            if row_rank(active) == target:
                 pruned.append(r)
         rays = pruned
     return lineality, sorted(rays)
 
 
-@lru_cache(maxsize=None)
-def _dual_data(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+HRep = tuple[tuple[Vec, ...], tuple[Vec, ...]]
+
+
+def _h_representation(gens: Iterable[Sequence[int]], dim: int) -> HRep:
     """(equation normals, facet normals) of the cone spanned by gens."""
-    lin, rays = halfspace_intersection(gens, dim)
+    key = sorted({p for p in map(primitive, gens) if p is not None})
+    lin, rays = halfspace_intersection(key, dim)
     return tuple(lin), tuple(rays)
 
 
@@ -155,9 +137,12 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return _int_rank(self.rays)
+        return row_rank(self.rays)
+
+    @cached_property
+    def h_representation(self) -> HRep:
+        """(equation normals, facet normals), computed once per cone."""
+        return _h_representation(self.rays, self.ambient_rank)
 
     def is_zero(self) -> bool:
         return not self.rays
@@ -174,23 +159,17 @@ class ImageCone:
     ambient_rank: int
     generators: tuple[Vec, ...]
 
-
-def _gen_key(c: Union[Cone, ImageCone]) -> tuple[tuple[Vec, ...], int]:
-    gens = c.rays if isinstance(c, Cone) else c.generators
-    cleaned = []
-    for g in gens:
-        p = primitive(g)
-        if p is not None:
-            cleaned.append(p)
-    return tuple(sorted(set(cleaned))), c.ambient_rank
+    @cached_property
+    def h_representation(self) -> HRep:
+        """(equation normals, facet normals), computed once per value."""
+        return _h_representation(self.generators, self.ambient_rank)
 
 
 def cone_contains(c: Union[Cone, ImageCone], v: Sequence, relative_interior: bool = False) -> bool:
     """Membership of a rational vector, optionally in the relative interior."""
-    gens, dim = _gen_key(c)
-    if len(v) != dim:
+    if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    eqs, facets = _dual_data(gens, dim)
+    eqs, facets = c.h_representation
     if any(_dot(e, v) != 0 for e in eqs):
         return False
     if relative_interior:
@@ -205,33 +184,33 @@ def canonicalize_cone(generators: Sequence[Sequence[int]], ambient_rank: Optiona
         if not gens:
             raise ValueError("ambient rank needed for an empty generating set")
         ambient_rank = len(gens[0])
-    cleaned = []
-    for g in gens:
-        if len(g) != ambient_rank:
-            raise ValueError("mixed ambient ranks in generating set")
-        p = primitive(g)
-        if p is not None:
-            cleaned.append(p)
-    key = tuple(sorted(set(cleaned)))
-    eqs, facets = _dual_data(key, ambient_rank)
+    if any(len(g) != ambient_rank for g in gens):
+        raise ValueError("mixed ambient ranks in generating set")
+    eqs, facets = _h_representation(gens, ambient_rank)
     constraints = list(facets) + list(eqs) + [tuple(-x for x in e) for e in eqs]
     lin, rays = halfspace_intersection(constraints, ambient_rank)
     if lin:
         raise NotStronglyConvex(f"cone contains the line through {lin[0]}")
-    return Cone(ambient_rank, tuple(sorted(rays)))
+    cone = Cone(ambient_rank, tuple(rays))
+    # the generators and the extreme rays span one cone: share its H-representation
+    cone.__dict__["h_representation"] = (eqs, facets)
+    return cone
 
 
 def faces(c: Cone) -> list[Cone]:
-    """All faces, ordered by (number of rays, rays)."""
-    gens, dim = _gen_key(c)
-    _, facets = _dual_data(gens, dim)
-    seen = {}
-    for k in range(len(facets) + 1):
-        for sub in itertools.combinations(facets, k):
-            rayset = tuple(r for r in c.rays
-                           if all(_dot(n, r) == 0 for n in sub))
-            seen.setdefault(rayset, Cone(c.ambient_rank, rayset))
-    return [seen[k] for k in sorted(seen, key=lambda rs: (len(rs), rs))]
+    """All faces, ordered by (number of rays, rays).
+
+    The ray set of a face is the set of rays lying on some collection of
+    facets, so the face ray sets are {all rays} closed under intersection
+    with the ray set of each facet (Kaibel & Pfetsch 2002).  That costs one
+    pass over the faces found so far per facet, not one per facet subset.
+    """
+    _, facets = c.h_representation
+    found = {c.rays}
+    for n in facets:
+        on = {r for r in c.rays if _dot(n, r) == 0}
+        found |= {tuple(r for r in rs if r in on) for rs in found}
+    return [Cone(c.ambient_rank, rs) for rs in sorted(found, key=_size_order)]
 
 
 def is_smooth_cone(c: Cone) -> bool:
@@ -249,7 +228,7 @@ def intersect_cones(a: Cone, b: Cone) -> tuple[list[Vec], list[Vec]]:
         raise ValueError("ambient mismatch")
     constraints: list[Vec] = []
     for c in (a, b):
-        eqs, facets = _dual_data(*_gen_key(c))
+        eqs, facets = c.h_representation
         constraints.extend(facets)
         for e in eqs:
             constraints.append(e)
@@ -259,8 +238,7 @@ def intersect_cones(a: Cone, b: Cone) -> tuple[list[Vec], list[Vec]]:
 
 def minimal_face_containing(c: Cone, v: Sequence) -> tuple[Vec, ...]:
     """Rays of the smallest face of c containing the vector v (v must lie in c)."""
-    gens, dim = _gen_key(c)
-    _, facets = _dual_data(gens, dim)
+    _, facets = c.h_representation
     active = [n for n in facets if _dot(n, v) == 0]
     return tuple(r for r in c.rays if all(_dot(n, r) == 0 for n in active))
 
@@ -282,18 +260,27 @@ class Fan:
                 raise ValueError("cone ambient rank does not match fan")
         object.__setattr__(
             self, "maximal_cones",
-            tuple(sorted(self.maximal_cones, key=lambda c: (len(c.rays), c.rays))))
+            tuple(sorted(self.maximal_cones, key=lambda c: _size_order(c.rays))))
+
+    @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        """Every cone (all faces of all maximal cones), computed once per fan."""
+        seen = {}
+        for c in self.maximal_cones:
+            for f in faces(c):
+                seen.setdefault(f.rays, f)
+        return tuple(seen[k] for k in sorted(seen, key=_size_order))
 
 
 def all_cones(fan: Fan) -> list[Cone]:
-    """Every cone of the fan (all faces of all maximal cones), deduplicated."""
-    seen = {}
-    for c in fan.maximal_cones:
-        for f in faces(c):
-            seen.setdefault(f.rays, f)
-    if not fan.maximal_cones:
-        return []
-    return [seen[k] for k in sorted(seen, key=lambda rs: (len(rs), rs))]
+    """Every cone of the fan, deduplicated, ordered by (number of rays, rays)."""
+    return list(fan.cones)
+
+
+def maximal_among(cones: Sequence[Cone]) -> list[Cone]:
+    """The cones whose ray set lies properly inside no other's, in input order."""
+    sets = [frozenset(c.rays) for c in cones]
+    return [c for c, s in zip(cones, sets) if not any(s < t for t in sets)]
 
 
 def fan_rays(fan: Fan) -> list[Vec]:
@@ -364,16 +351,10 @@ def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> PreimageFan:
     The collection is closed under faces, hence a subfan; when it has a
     unique maximal element that cone is reported separately.
     """
-    hits = [c for c in all_cones(fan)
-            if all(cone_contains(target, m.apply(r)) for r in c.rays)]
-    maximal = [c for c in hits
-               if not any(set(c.rays) < set(d.rays) for d in hits)]
-    if not hits:
-        sub = Fan(fan.ambient_rank, ())
-        return PreimageFan(sub, None)
-    sub = Fan(fan.ambient_rank, tuple(sorted(maximal, key=lambda c: (len(c.rays), c.rays))))
+    inside = {r for r in fan_rays(fan) if cone_contains(target, m.apply(r))}
+    maximal = maximal_among([c for c in all_cones(fan) if inside.issuperset(c.rays)])
     single = maximal[0] if len(maximal) == 1 else None
-    return PreimageFan(sub, single)
+    return PreimageFan(Fan(fan.ambient_rank, tuple(maximal)), single)
 
 
 def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:

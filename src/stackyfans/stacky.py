@@ -9,19 +9,18 @@ the associated quotient presentation comes from
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .fgab import (
     FgAbGroup,
     FgAbHom,
     MappingConeDual,
-    analyze_hom,
     free_group,
+    has_finite_cokernel,
     mapping_cone_dual,
 )
-from .polyhedral import Cone, Fan, FanDiagnostics, all_cones, cone_contains, validate_fan
+from .polyhedral import Cone, Fan, all_cones, cone_contains, validate_fan
 from .zlinalg import IntMatrix, Vec, cokernel_presentation, saturate, solve_integer
 
 
@@ -68,7 +67,7 @@ class StackyFanDiagnostics:
 
 
 def is_strict(sf: StackyFan) -> bool:
-    return (not sf.target.torsion) and analyze_hom(sf.beta).cokernel.is_finite()
+    return (not sf.target.torsion) and has_finite_cokernel(sf.beta)
 
 
 def validate_stacky_fan(sf: StackyFan) -> StackyFanDiagnostics:
@@ -80,12 +79,6 @@ def validate_stacky_fan(sf: StackyFan) -> StackyFanDiagnostics:
 def gbeta(sf: StackyFan) -> MappingConeDual:
     """The group G_beta of the quotient presentation, diagonalized."""
     return mapping_cone_dual(sf.beta)
-
-
-def _minimal_supports(families: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    sets = {frozenset(f) for f in families}
-    keep = [s for s in sets if not any(t < s for t in sets)]
-    return sorted(tuple(sorted(s)) for s in keep)
 
 
 def _minimal_hitting_sets(families: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -124,13 +117,6 @@ def _orthant_ray_indices(fan: Fan) -> list[set[int]]:
             idx.add(ones[0] + 1)
         out.append(idx)
     return out
-
-
-def irrelevant_monomials(sf: StackyFan) -> list[tuple[int, ...]]:
-    """Supports of the minimal monomial generators of the irrelevant ideal."""
-    n = sf.lattice_rank
-    idx = _orthant_ray_indices(sf.fan)
-    return _minimal_supports([sorted(set(range(1, n + 1)) - s) for s in idx])
 
 
 @dataclass(frozen=True)

@@ -220,8 +220,36 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     )
 
 
+def row_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of the matrix with these rows, by fraction-free elimination."""
+    work = [list(r) for r in rows if any(r)]
+    rk = 0
+    ncols = len(work[0]) if work else 0
+    col = 0
+    while work and col < ncols:
+        piv = next((i for i, r in enumerate(work) if r[col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        pivot = work.pop(piv)
+        rk += 1
+        p = pivot[col]
+        reduced = []
+        for r in work:
+            if r[col] != 0:
+                r = [p * a - r[col] * b for a, b in zip(r, pivot)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
+            if any(r):
+                reduced.append(r)
+        work = reduced
+        col += 1
+    return rk
+
+
 def rank(m: IntMatrix) -> int:
-    return len(snf(m).invariant_factors)
+    return row_rank(m.entries)
 
 
 def determinant(m: IntMatrix) -> int:

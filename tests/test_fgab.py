@@ -5,6 +5,8 @@ stacky data; each entry was derived by hand from the cokernel of the
 transposed matrix before the implementation existed.
 """
 
+import random
+
 import pytest
 
 from stackyfans.fgab import (
@@ -15,6 +17,7 @@ from stackyfans.fgab import (
     direct_sum,
     ext1,
     free_group,
+    has_finite_cokernel,
     identity_hom,
     induced_g0_hom,
     induced_g1_hom,
@@ -224,3 +227,20 @@ def test_induced_hom_rejects_bad_square():
 
 def test_normalized_group_reexport():
     assert normalized_group(0, (6, 4)) == FgAbGroup(0, (2, 12))
+
+
+def test_finite_cokernel_matches_hom_analysis():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        ell, f = rng.randint(0, 4), rng.randint(0, 3)
+        target = normalized_group(f, [rng.randint(1, 12) for _ in range(rng.randint(0, 3))])
+        # sparse columns make rank-deficient free parts common
+        cols = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(target.ngens)]
+                for _ in range(ell)]
+        beta = FgAbHom(free_group(ell), target,
+                       IntMatrix.from_columns(cols, rows=target.ngens))
+        want = analyze_hom(beta).cokernel.is_finite()
+        assert has_finite_cokernel(beta) == want
+        seen.add((want, bool(target.torsion)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

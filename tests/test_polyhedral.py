@@ -1,5 +1,7 @@
 """Cones, fans, and the combinatorial predicates built on them."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,51 @@ def test_faces_of_cone_over_square():
     fs = faces(c)
     assert sorted(len(f.rays) for f in fs) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
     assert not is_smooth_cone(c)
+
+
+def _faces_by_facet_subsets(c):
+    """Reference: the ray set on every subset of facets, one subset at a time."""
+    _, facets = halfspace_intersection(c.rays, c.ambient_rank)
+    found = set()
+    for k in range(len(facets) + 1):
+        for sub in itertools.combinations(facets, k):
+            found.add(tuple(r for r in c.rays
+                            if all(sum(a * b for a, b in zip(n, r)) == 0 for n in sub)))
+    return sorted(found, key=lambda rs: (len(rs), rs))
+
+
+def test_faces_match_facet_subset_enumeration():
+    rng = random.Random(3)
+    checked = lower = 0
+    facet_counts = set()
+    while checked < 240:
+        n = rng.randint(2, 4)
+        k = rng.randint(2, n)
+        # a cone over lattice points of height one in Z^k, mapped into Z^n
+        # by a random matrix when k < n (so of lower dimension)
+        embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        gens = []
+        for _ in range(rng.randint(1, 8)):
+            g = (1,) + tuple(rng.randint(-3, 3) for _ in range(k - 1))
+            if k < n:
+                g = tuple(sum(a * b for a, b in zip(row, g)) for row in embed)
+            gens.append(g)
+        try:
+            c = canonicalize_cone(gens, ambient_rank=n)
+        except NotStronglyConvex:
+            continue
+        assert [f.rays for f in faces(c)] == _faces_by_facet_subsets(c)
+        checked += 1
+        lower += c.dim < n
+        facet_counts.add(len(c.h_representation[1]))
+    assert lower >= 50
+    assert max(facet_counts) >= 8
+
+
+def test_faces_of_cone_over_20_gon():
+    c = canonicalize_cone([(1, i, i * i) for i in range(20)])
+    assert len(c.rays) == 20
+    assert sorted(len(f.rays) for f in faces(c)) == [0] + [1] * 20 + [2] * 20 + [20]
 
 
 def test_smoothness():

@@ -10,7 +10,6 @@ from stackyfans.stacky import (
     StackyFan,
     StackyMorphism,
     gbeta,
-    irrelevant_monomials,
     is_strict,
     present_quotient,
     reduce_nonstrict,
@@ -79,18 +78,11 @@ def test_gbeta_matches_mapping_cone():
     assert mc == mapping_cone_dual(A1_SF.beta)
 
 
-def test_irrelevant_monomials():
-    assert irrelevant_monomials(StackyFan(PUNCTURED, free_group(1), ((1,), (-1,)))) \
-        == [(1,), (2,)]
-    quad_sf = A1_SF
-    assert irrelevant_monomials(quad_sf) == [()]
-
-
-def test_irrelevant_monomials_requires_orthant_subfan():
+def test_present_requires_orthant_subfan():
     skew = StackyFan(Fan(2, (_cone((1, 1), rank=2),)), free_group(2),
                      ((1, 0), (0, 1)))
     with pytest.raises(NotSubfanOfAffineSpace):
-        irrelevant_monomials(skew)
+        present_quotient(skew)
 
 
 def test_present_a1():

@@ -116,6 +116,21 @@ def test_rank_and_determinant():
         determinant(IntMatrix.zero(2, 3))
 
 
+def test_rank_matches_snf():
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = IntMatrix.from_rows(
+            [[rng.choice((0, 0, 1, -1, 2, 5, -7)) for _ in range(cols)] for _ in range(rows)],
+            cols=cols)
+        if rows > 1 and rng.random() < 0.5:
+            # a combination of two rows, so rank deficiency is common
+            a, b = rng.sample(range(rows), 2)
+            extra = tuple(3 * x - 2 * y for x, y in zip(m.row(a), m.row(b)))
+            m = m.vstack(IntMatrix(1, cols, (extra,)))
+        assert rank(m) == len(snf(m).invariant_factors)
+
+
 def test_unimodular_inverse():
     u = IntMatrix.from_rows([[1, 2], [2, 5]])
     inv = unimodular_inverse(u)
