@@ -60,7 +60,7 @@ from .constructions import (
     is_isomorphism,
     moduli_description,
 )
-from .fgab import FgAbGroup, FgAbHom, MalformedHom
+from .fgab import FgAbGroup, FgAbHom, MalformedHom, group_name
 from .polyhedral import (
     Cone,
     Fan,
@@ -370,12 +370,9 @@ def _cmd_gbeta(doc, args):
         "group": _group_json(mc.g1.group),
         "weights": _weights_json(mc.g1.weights),
     }
-    name = mc.g1.dual_name()
-    if mc.g0_rank:
-        torus = "G_m" if mc.g0_rank == 1 else f"G_m^{mc.g0_rank}"
-        name = torus if name == "1" else f"{torus} x {name}"
     cols = ", ".join(str(list(c)) for c in _weights_json(mc.g1.weights))
-    text = [f"G_beta = {name}", f"weights by coordinate: {cols or '(none)'}"]
+    text = [f"G_beta = {group_name(mc.g0_rank, mc.g1.group)}",
+            f"weights by coordinate: {cols or '(none)'}"]
     return report, text
 
 

@@ -7,12 +7,11 @@ Everything here consumes and produces the value types of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgab import FgAbHom, analyze_hom, free_group, has_finite_cokernel, identity_hom
+from .fgab import FgAbHom, free_group, has_finite_cokernel, identity_hom, is_surjective
 from .polyhedral import (
     Cone,
     Fan,
@@ -27,6 +26,7 @@ from .polyhedral import (
     is_smooth_cone,
     is_unstable,
     maximal_among,
+    maps_into_fan,
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
@@ -37,6 +37,7 @@ from .stacky import (
     StackyMorphism,
     _orthant_ray_indices,
     present_quotient,
+    primitive_collections,
 )
 from .zlinalg import (
     IntMatrix,
@@ -196,8 +197,8 @@ def is_isomorphism(m: StackyMorphism) -> IsoResult:
     if not (has_finite_cokernel(m.source.beta) and has_finite_cokernel(m.target.beta)):
         raise PreconditionViolated(
             "isomorphism test needs finite cokernels on both sides")
-    an = analyze_hom(m.phi)
-    if not (an.surjective and an.kernel.is_trivial()):
+    # a surjection between isomorphic f.g. abelian groups is injective
+    if not (is_surjective(m.phi) and m.phi.source == m.phi.target):
         return IsoResult(False, 1, None)
     # every cone must pass condition 2 before any is tested for condition 3
     onto = []
@@ -247,7 +248,7 @@ def gms_check(m: StackyMorphism) -> GmsResult:
         tau = Cone(m.source.lattice_rank, ())
     if not is_unstable(tau, m.source.beta):
         return GmsResult(False, "2", tau, m.target.fan)
-    if not analyze_hom(m.phi).surjective:
+    if not is_surjective(m.phi):
         return GmsResult(False, "3", tau, m.target.fan)
     if not _finite_kernel_mod_tau(m, tau):
         return GmsResult(False, "4", tau, m.target.fan)
@@ -300,14 +301,16 @@ def gms_construct(sf: StackyFan) -> GmsResult:
         except NotStronglyConvex:
             continue
         candidates[cand.rays] = cand
-    kept = [cand for cand in candidates.values()
-            if _onto_preimage(big_phi, sf.fan, cand) is not None]
-    maximal_new = [c for c in kept
-                   if not any(c is not d and cone_contains_all(d, c.rays) for d in kept)]
-    gms_fan = Fan(rp, tuple(maximal_new))
+    # kept candidates nest exactly when their onto-preimages do: a cone
+    # mapping into c maps into any d containing c, and c = Phi(sigma_c)
+    kept = {}
+    for cand in candidates.values():
+        sigma = _onto_preimage(big_phi, sf.fan, cand)
+        if sigma is not None:
+            kept[sigma] = cand
+    gms_fan = Fan(rp, tuple(kept[sigma] for sigma in maximal_among(list(kept))))
     for c in sf.fan.maximal_cones:
-        imgs = [big_phi.apply(r) for r in c.rays]
-        if not any(all(cone_contains(tc, w) for w in imgs) for tc in gms_fan.maximal_cones):
+        if not maps_into_fan(big_phi, c, gms_fan):
             return GmsResult(False, "(ii)", tau, gms_fan)
     target_sf = StackyFan(gms_fan, grp, tuple(IntMatrix.identity(rp).columns()))
     morphism = StackyMorphism(sf, target_sf, big_phi, phi)
@@ -342,20 +345,6 @@ def _moduli_preconditions(sf: StackyFan) -> list[set[int]]:
     return idx
 
 
-def _minimal_nonfaces(n: int, facesets: Sequence[set[int]]) -> list[tuple[int, ...]]:
-    """Minimal index sets not contained in any faceset, sizes pruned upward."""
-    out: list[tuple[int, ...]] = []
-    universe = range(1, n + 1)
-    for size in range(1, n + 1):
-        for comb in itertools.combinations(universe, size):
-            s = set(comb)
-            if any(set(prev) <= s for prev in out):
-                continue
-            if not any(s <= f for f in facesets):
-                out.append(comb)
-    return out
-
-
 def moduli_description(sf: StackyFan, forced_zero: Sequence[int] = ()) -> ModuliDescription:
     """Functor-of-points reading of a smooth orthant-supported stacky fan."""
     idx = _moduli_preconditions(sf)
@@ -368,7 +357,8 @@ def moduli_description(sf: StackyFan, forced_zero: Sequence[int] = ()) -> Moduli
     return ModuliDescription(
         ambient_dim=n,
         linear_relations=beta_mat.entries,
-        intersection_relations=tuple(_minimal_nonfaces(n, idx)),
+        intersection_relations=tuple(
+            sorted(primitive_collections(n, idx), key=lambda s: (len(s), s))),
         forced_zero_sections=fz,
     )
 

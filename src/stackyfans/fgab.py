@@ -3,7 +3,12 @@
 A group is always held in invariant-factor form (:class:`FgAbGroup`, defined
 next to the Smith normal form in :mod:`stackyfans.zlinalg` and re-exported
 here).  A homomorphism is a matrix whose columns are the images of the
-canonical generators, torsion rows reduced.
+canonical generators, torsion rows reduced.  The verdicts ask only two
+questions of a homomorphism, each answered by one factorization:
+:func:`has_finite_cokernel` (one rank) and :func:`is_surjective` (one Smith
+normal form).  Thanks to the invariant-factor form, a homomorphism is an
+isomorphism exactly when it is surjective and its source equals its target
+(f.g. abelian groups are Hopfian).
 
 The centerpiece is :func:`mapping_cone_dual`: for a homomorphism
 ``beta : Z^l -> N`` it computes the character data of the group
@@ -28,7 +33,6 @@ from .zlinalg import (
     IntMatrix,
     Vec,
     cokernel_presentation,
-    column_space_basis,
     hermite_row_form,
     kernel_basis,
     normalized_group,
@@ -41,17 +45,15 @@ __all__ = [
     "FgAbGroup",
     "FgAbHom",
     "MalformedHom",
-    "HomAnalysis",
     "DiagGroupPresentation",
     "MappingConeDual",
-    "analyze_hom",
     "has_finite_cokernel",
+    "is_surjective",
+    "group_name",
     "verify_exact",
     "mapping_cone_dual",
     "induced_g1_hom",
     "induced_g0_hom",
-    "ext1",
-    "direct_sum",
     "identity_hom",
     "free_group",
     "normalized_group",
@@ -120,23 +122,6 @@ def identity_hom(g: FgAbGroup) -> FgAbHom:
     return FgAbHom(g, g, IntMatrix.identity(g.ngens))
 
 
-def _quotient_group(gens: IntMatrix, rel: IntMatrix) -> FgAbGroup:
-    """Abstract type of (lattice spanned by gens) / (lattice spanned by rel).
-
-    Caller guarantees colspan(rel) is contained in colspan(gens).
-    """
-    basis = column_space_basis(gens)
-    cols = []
-    for c in rel.columns():
-        x = solve_integer(basis, c)
-        if x is None:
-            raise ValueError("relation lattice not inside generator lattice")
-        cols.append(x)
-    inner = IntMatrix.from_columns(cols, rows=basis.cols)
-    group, _ = cokernel_presentation(inner)
-    return group
-
-
 def _kernel_lattice(f: FgAbHom) -> IntMatrix:
     """Generators (columns in Z^source.ngens) of {v : f(v) = 0}."""
     big = f.matrix.hstack(f.target.relations())
@@ -148,35 +133,14 @@ def _kernel_lattice(f: FgAbHom) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=n)
 
 
-@dataclass(frozen=True)
-class HomAnalysis:
-    kernel: FgAbGroup
-    image: FgAbGroup
-    cokernel: FgAbGroup
-    surjective: bool
-    finite_kernel: bool
-
-
-def analyze_hom(f: FgAbHom) -> HomAnalysis:
-    """Kernel, image and cokernel of a homomorphism, as abstract groups."""
-    rel_t = f.target.relations()
-    rel_s = f.source.relations()
-    cok, _ = cokernel_presentation(f.matrix.hstack(rel_t))
-    image = _quotient_group(f.matrix.hstack(rel_t), rel_t)
-    kl = _kernel_lattice(f)
-    kernel = _quotient_group(kl, rel_s)
-    return HomAnalysis(
-        kernel=kernel,
-        image=image,
-        cokernel=cok,
-        surjective=cok.is_trivial(),
-        finite_kernel=kernel.free_rank == 0,
-    )
-
-
 def has_finite_cokernel(f: FgAbHom) -> bool:
     """Is the cokernel finite, i.e. does the image span the target rationally?"""
     return rank(f.matrix.hstack(f.target.relations())) == f.target.ngens
+
+
+def is_surjective(f: FgAbHom) -> bool:
+    """Is the cokernel trivial?  One Smith normal form."""
+    return cokernel_presentation(f.matrix.hstack(f.target.relations()))[0].is_trivial()
 
 
 def verify_exact(seq: Sequence[FgAbHom]) -> bool:
@@ -214,16 +178,16 @@ class DiagGroupPresentation:
     group: FgAbGroup
     weights: IntMatrix
 
-    def dual_name(self) -> str:
-        """Readable name of the dual group, e.g. 'G_m x mu_2'."""
-        parts = []
-        if self.group.free_rank == 1:
-            parts.append("G_m")
-        elif self.group.free_rank > 1:
-            parts.append(f"G_m^{self.group.free_rank}")
-        for d in self.group.torsion:
-            parts.append(f"mu_{d}")
-        return " x ".join(parts) if parts else "1"
+
+def group_name(g0_rank: int, group: FgAbGroup) -> str:
+    """Readable name of G_m^g0_rank times the dual of a character group.
+
+    For example 'G_m^2 x mu_2', or '1' for the trivial group.
+    """
+    tori = [k for k in (g0_rank, group.free_rank) if k]
+    parts = ["G_m" if k == 1 else f"G_m^{k}" for k in tori]
+    parts += [f"mu_{d}" for d in group.torsion]
+    return " x ".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -421,22 +385,3 @@ def induced_g0_hom(f: FgAbHom, g: FgAbHom, alpha: IntMatrix, b: FgAbHom) -> FgAb
         cols.append(x)
     mat = IntMatrix.from_columns(cols, rows=kf.cols)
     return FgAbHom(free_group(kg.cols), free_group(kf.cols), mat)
-
-
-def ext1(n: FgAbGroup) -> FgAbGroup:
-    """Ext^1(N, Z), which is the torsion part of N."""
-    return FgAbGroup(0, n.torsion)
-
-
-def direct_sum(a: FgAbGroup, b: FgAbGroup) -> tuple[FgAbGroup, FgAbHom, FgAbHom]:
-    """Invariant-factor form of a + b with the two inclusions."""
-    na, nb = a.ngens, b.ngens
-    rel_cols = []
-    for c in a.relations().columns():
-        rel_cols.append(tuple(c) + (0,) * nb)
-    for c in b.relations().columns():
-        rel_cols.append((0,) * na + tuple(c))
-    total, proj = cokernel_presentation(IntMatrix.from_columns(rel_cols, rows=na + nb))
-    inc_a = proj.submatrix(range(total.ngens), range(na))
-    inc_b = proj.submatrix(range(total.ngens), range(na, na + nb))
-    return total, FgAbHom(a, total, inc_a), FgAbHom(b, total, inc_b)

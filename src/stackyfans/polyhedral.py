@@ -339,6 +339,16 @@ def image_cone(m: IntMatrix, c: Cone) -> ImageCone:
     return ImageCone(m.rows, tuple(m.apply(r) for r in c.rays))
 
 
+def maps_into_fan(m: IntMatrix, c: Cone, fan: Fan) -> bool:
+    """Does m map the cone c into some cone of the fan?
+
+    Every cone of a fan is a face of a maximal one, so the maximal cones
+    suffice.
+    """
+    imgs = [m.apply(r) for r in c.rays]
+    return any(cone_contains_all(tc, imgs) for tc in fan.maximal_cones)
+
+
 @dataclass(frozen=True)
 class PreimageFan:
     subfan: Fan

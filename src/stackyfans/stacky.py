@@ -5,6 +5,11 @@ beta : Z^l -> N into a finitely generated abelian group.  It is *strict*
 when N is free and beta has finite cokernel.  The group G_beta acting in
 the associated quotient presentation comes from
 :func:`stackyfans.fgab.mapping_cone_dual`.
+
+The removed locus of that presentation is cut out by the fan's primitive
+collections (:func:`primitive_collections`), the one routine for them:
+:func:`stackyfans.constructions.moduli_description` reads the same sets as
+its intersection relations.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from .fgab import (
     FgAbHom,
     MappingConeDual,
     free_group,
+    group_name,
     has_finite_cokernel,
     mapping_cone_dual,
 )
-from .polyhedral import Cone, Fan, all_cones, cone_contains, validate_fan
+from .polyhedral import Cone, Fan, maps_into_fan, validate_fan
 from .zlinalg import IntMatrix, Vec, cokernel_presentation, saturate, solve_integer
 
 
@@ -81,29 +87,6 @@ def gbeta(sf: StackyFan) -> MappingConeDual:
     return mapping_cone_dual(sf.beta)
 
 
-def _minimal_hitting_sets(families: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Minimal sets meeting every family member; [] if some member is empty."""
-    fams = [frozenset(f) for f in families]
-    if any(not f for f in fams):
-        return []
-    found: set[frozenset] = set()
-
-    def rec(chosen: frozenset, rest: list) -> None:
-        if not rest:
-            found.add(chosen)
-            return
-        head, tail = rest[0], rest[1:]
-        if chosen & head:
-            rec(chosen, tail)
-            return
-        for x in sorted(head):
-            rec(chosen | {x}, tail)
-
-    rec(frozenset(), fams)
-    keep = [s for s in found if not any(t < s for t in found)]
-    return sorted(tuple(sorted(s)) for s in keep)
-
-
 def _orthant_ray_indices(fan: Fan) -> list[set[int]]:
     """1-based coordinate index sets of the maximal cones, or raise."""
     out = []
@@ -117,6 +100,32 @@ def _orthant_ray_indices(fan: Fan) -> list[set[int]]:
             idx.add(ones[0] + 1)
         out.append(idx)
     return out
+
+
+def primitive_collections(n: int, facesets: Sequence[set[int]]) -> list[tuple[int, ...]]:
+    """Minimal subsets of {1..n} lying in no faceset, sorted lexicographically.
+
+    For the index sets of a fan's maximal cones these are Batyrev's
+    primitive collections: the minimal nonfaces, which are also the
+    components V(x_i : i in S) of the removed locus (Cox-Little-Schenck,
+    Toric Varieties, 5.1).  A set lies in no faceset exactly when it meets
+    every faceset's complement, so they are the minimal transversals of the
+    complements.  Berge's sequential method adds one complement at a time
+    and keeps only the minimal sets after each step (Eiter & Gottlob 1995).
+    With no facesets the empty set is the only one; a faceset of all of
+    {1..n} leaves none.
+    """
+    full = (1 << n) - 1  # bit i - 1 stands for index i
+    minimal = [0]
+    for s in facesets:
+        edge = full & ~sum(1 << (i - 1) for i in s)
+        bits = [1 << i for i in range(n) if edge >> i & 1]
+        hit = [t for t in minimal if t & edge]
+        # t | b is minimal unless a set already meeting the edge lies inside it
+        grown = {t | b for t in minimal if not t & edge for b in bits
+                 if not any(k & ~(t | b) == 0 for k in hit)}
+        minimal = hit + list(grown)
+    return sorted(tuple(i + 1 for i in range(n) if t >> i & 1) for t in minimal)
 
 
 @dataclass(frozen=True)
@@ -140,11 +149,7 @@ class QuotientPresentation:
     g0_rank: int = 0
 
     def describe(self) -> str:
-        from .fgab import DiagGroupPresentation
-        name = DiagGroupPresentation(self.group, self.weights).dual_name()
-        if self.g0_rank:
-            pre = f"G_m^{self.g0_rank}" if self.g0_rank > 1 else "G_m"
-            name = pre if name == "1" else f"{pre} x {name}"
+        name = group_name(self.g0_rank, self.group)
         space = f"A^{self.ambient_dim}"
         if self.removed_locus:
             cut = " u ".join(
@@ -164,13 +169,11 @@ def present_quotient(sf: StackyFan, fixed_coordinates: Sequence[int] = ()) -> Qu
     """Quotient presentation of the stack of a fan supported on the orthant.
 
     The open set is A^n minus the union of the coordinate subspaces
-    V(x_i : i in S) over the minimal sets S meeting every maximal cone's
-    complement (the irreducible components of the vanishing locus of the
-    irrelevant ideal).
+    V(x_i : i in S) over the primitive collections S of the fan (the
+    irreducible components of the vanishing locus of the irrelevant ideal).
     """
     n = sf.lattice_rank
-    idx = _orthant_ray_indices(sf.fan)
-    removed = _minimal_hitting_sets([sorted(set(range(1, n + 1)) - s) for s in idx])
+    removed = primitive_collections(n, _orthant_ray_indices(sf.fan))
     fixed = tuple(sorted(set(int(i) for i in fixed_coordinates)))
     for i in fixed:
         if not 1 <= i <= n:
@@ -221,10 +224,8 @@ def validate_morphism(m: StackyMorphism) -> MorphismDiagnostics:
             problems.append(
                 f"square does not commute on basis vector {i + 1}: "
                 f"phi(beta(e)) = {left}, beta'(Phi(e)) = {right}")
-    target_cones = all_cones(m.target.fan)
     for c in m.source.fan.maximal_cones:
-        imgs = [m.Phi.apply(r) for r in c.rays]
-        if not any(all(cone_contains(tc, w) for w in imgs) for tc in target_cones):
+        if not maps_into_fan(m.Phi, c, m.target.fan):
             problems.append(
                 f"image of cone with rays {c.rays} lies in no target cone")
     return MorphismDiagnostics(valid=not problems, problems=tuple(problems))

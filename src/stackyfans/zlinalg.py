@@ -319,29 +319,12 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     return d.V.apply(y)
 
 
-def column_space_basis(m: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the lattice generated by the columns of M."""
-    d = snf(m)
-    r = len(d.invariant_factors)
-    uinv = unimodular_inverse(d.U)
-    cols = [tuple(x * d.invariant_factors[i] for x in uinv.column(i)) for i in range(r)]
-    return IntMatrix.from_columns(cols, rows=m.rows)
-
-
 def saturate(m: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the saturation (colspan QM) ∩ Z^rows."""
     d = snf(m)
     r = len(d.invariant_factors)
     uinv = unimodular_inverse(d.U)
     return IntMatrix.from_columns([uinv.column(i) for i in range(r)], rows=m.rows)
-
-
-def saturation_index(m: IntMatrix) -> int:
-    """Index of colspan(M) inside its saturation."""
-    out = 1
-    for f in snf(m).invariant_factors:
-        out *= f
-    return out
 
 
 @dataclass(frozen=True)

@@ -127,3 +127,23 @@ def test_console_script():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "a1_gbeta.json").read_text()
+
+
+def test_fan_with_no_cones_removes_everything(capsys, tmp_path):
+    # the empty set is the one primitive collection: both readings agree
+    # that V() = A^2 is removed, so the stack is empty
+    path = tmp_path / "empty_fan.json"
+    path.write_text(json.dumps({"lattice_rank": 2, "fan": {"maximal_cones": []},
+                                "target": {"rank": 1, "torsion": []},
+                                "beta_images": [[1], [1]]}))
+    code, out, _ = _run(capsys, "present", "--input", path, "--json")
+    assert code == 0
+    assert json.loads(out)["removed_locus"] == [[]]
+    code, out, _ = _run(capsys, "moduli", "--input", path, "--json")
+    assert code == 0
+    assert json.loads(out) == {"ambient_dim": 2, "linear_relations": [[1, 1]],
+                               "intersection_relations": [[]],
+                               "forced_zero_sections": []}
+    code, out, _ = _run(capsys, "moduli", "--input", path)
+    assert code == 0
+    assert out == "2 sections\ndegree relation [1, 1]\nnever all zero: \n"

@@ -1,11 +1,15 @@
 """The four headline constructions: fantastacks, canonical stacks,
 good-moduli-space decisions, and the functor-of-points readings."""
 
+import random
+
 import pytest
 
+from property_suites import _random_stacky_fan
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
     NotSmooth,
+    _onto_preimage,
     canonical_stack,
     cox_presentation,
     fantastack,
@@ -15,10 +19,20 @@ from stackyfans.constructions import (
     is_isomorphism,
     moduli_description,
 )
-from stackyfans.fgab import FgAbGroup, free_group, identity_hom
-from stackyfans.polyhedral import Fan, PreconditionViolated, canonicalize_cone
+from stackyfans.fgab import FgAbGroup, free_group, has_finite_cokernel, identity_hom
+from stackyfans.polyhedral import (
+    Fan,
+    NotStronglyConvex,
+    PreconditionViolated,
+    all_cones,
+    canonicalize_cone,
+    cone_contains,
+    cone_contains_all,
+    is_unstable,
+    maximal_among,
+)
 from stackyfans.stacky import StackyFan, StackyMorphism
-from stackyfans.zlinalg import IntMatrix
+from stackyfans.zlinalg import IntMatrix, cokernel_presentation, saturate
 
 
 def _cone(*gens, rank=None):
@@ -282,6 +296,63 @@ def test_gms_construct_p2_variant():
     res = gms_construct(sf)
     assert res.verdict
     assert res.gms_fan == P2_FAN
+
+
+def _reference_gms(sf):
+    """gms_construct's fan and verdict with the pairwise geometric filter.
+
+    Kept candidates are filtered by containment in one another, and "(ii)"
+    is tested against every cone of the constructed fan.  Returns None when
+    the unstable cones have no unique maximal element.
+    """
+    beta = sf.beta
+    maximal = maximal_among([c for c in all_cones(sf.fan) if is_unstable(c, beta)])
+    if len(maximal) != 1:
+        return None
+    tspan = saturate(IntMatrix.from_columns(list(maximal[0].rays), rows=sf.lattice_rank))
+    beta_mat = IntMatrix.from_columns(list(sf.beta_images), rows=sf.target.ngens)
+    grp, proj = cokernel_presentation(
+        saturate((beta_mat @ tspan).hstack(sf.target.relations())))
+    big_phi = proj @ beta_mat
+    kept = []
+    for c in all_cones(sf.fan):
+        try:
+            cand = canonicalize_cone([big_phi.apply(r) for r in c.rays],
+                                     ambient_rank=grp.free_rank)
+        except NotStronglyConvex:
+            continue
+        if cand not in kept and _onto_preimage(big_phi, sf.fan, cand) is not None:
+            kept.append(cand)
+    fan = Fan(grp.free_rank, tuple(
+        c for c in kept if not any(c != d and cone_contains_all(d, c.rays) for d in kept)))
+    fits = all(any(all(cone_contains(tc, big_phi.apply(r)) for r in c.rays)
+                   for tc in all_cones(fan))
+               for c in sf.fan.maximal_cones)
+    return fan, fits, len(kept)
+
+
+def test_gms_filter_matches_pairwise_reference():
+    rng = random.Random(77)
+    checked = 0
+    seen = set()
+    while checked < 600:
+        sf = _random_stacky_fan(rng)
+        if not has_finite_cokernel(sf.beta):
+            continue
+        checked += 1
+        res = gms_construct(sf)
+        ref = _reference_gms(sf)
+        if ref is None:
+            assert res.failing_condition == "(i)"
+            seen.add("(i)")
+            continue
+        fan, fits, nkept = ref
+        assert res.gms_fan == fan, sf
+        assert res.verdict == fits and res.failing_condition == (None if fits else "(ii)"), sf
+        seen.add(res.failing_condition)
+        if len(fan.maximal_cones) < nkept:
+            seen.add("filtered")
+    assert seen == {None, "(i)", "(ii)", "filtered"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Source hygiene: no stackyfans module imports a name it never uses."""
+"""Source hygiene: no stackyfans module imports a name it never uses, and
+every public function or class is used by the package itself."""
 
 import ast
+import importlib
+from collections import defaultdict
 from pathlib import Path
 
 import stackyfans
@@ -8,15 +11,19 @@ import stackyfans
 PACKAGE = Path(stackyfans.__file__).parent
 
 
+def _is_all(node: ast.stmt) -> bool:
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+
+
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+        if _is_all(node):
             return set(ast.literal_eval(node.value))
     return set()
 
 
-def _referenced(tree: ast.Module) -> set[str]:
+def _referenced(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -58,3 +65,58 @@ def test_hygiene_check_flags_an_unused_import(tmp_path):
     probe.write_text('import os\nfrom typing import Optional, Sequence\n'
                      '__all__ = ["Sequence"]\n\n\ndef f(x: "Optional[int]"):\n    return x\n')
     assert _unused_imports(probe) == ["probe.py:1: os"]
+
+
+# Public names the package keeps although no package code uses them.
+UNREFERENCED_ALLOWED = {
+    "induced_g1_hom": "functoriality of G_beta (the paper's comparison maps); "
+                      "suite_triangle_exactness checks it",
+    "induced_g0_hom": "functoriality of G_beta on the torus factor; "
+                      "suite_triangle_exactness checks it",
+    "verify_exact": "the exactness test suite_triangle_exactness applies to them",
+    "normalized_group": "the documented constructor of FgAbGroup from arbitrary "
+                        "torsion numbers",
+}
+
+
+def _unreferenced_public(paths: list[Path]) -> list[str]:
+    """Public top-level functions and classes no other statement refers to.
+
+    A definition's own body and the ``__all__`` lists do not count.
+    """
+    defs = []
+    uses = defaultdict(set)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for k, node in enumerate(tree.body):
+            if _is_all(node):
+                continue
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs.append((node.name, path.name, k))
+            for name in _referenced(node):
+                uses[name].add((path.name, k))
+    return sorted(f"{module}: {name}" for name, module, k in defs
+                  if not uses[name] - {(module, k)})
+
+
+def test_package_uses_every_public_definition():
+    found = _unreferenced_public(sorted(PACKAGE.glob("*.py")))
+    assert [f for f in found if f.split(": ")[1] not in UNREFERENCED_ALLOWED] == []
+    # a name that became used no longer needs its entry
+    assert {f.split(": ")[1] for f in found} == set(UNREFERENCED_ALLOWED)
+
+
+def test_hygiene_check_flags_an_unused_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["helper", "lonely"]\n\n\ndef helper():\n    return 1\n\n\n'
+        'def lonely():\n    return lonely()\n\n\nclass _Private:\n    pass\n')
+    (tmp_path / "b.py").write_text('from a import helper\n\nX = helper()\n')
+    assert _unreferenced_public([tmp_path / "a.py", tmp_path / "b.py"]) == ["a.py: lonely"]
+
+
+def test_every_exported_name_exists():
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"stackyfans.{path.stem}")
+        exported = _exported(ast.parse(path.read_text(encoding="utf-8")))
+        assert [n for n in sorted(exported) if not hasattr(module, n)] == [], path.name

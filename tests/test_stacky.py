@@ -1,6 +1,9 @@
 """Stacky fans, quotient presentations, and the two normalization moves
 (torsion removal and torus splitting)."""
 
+import itertools
+import random
+
 import pytest
 
 from stackyfans.fgab import FgAbGroup, FgAbHom, free_group, identity_hom, mapping_cone_dual
@@ -12,6 +15,7 @@ from stackyfans.stacky import (
     gbeta,
     is_strict,
     present_quotient,
+    primitive_collections,
     reduce_nonstrict,
     split_torus_factor,
     validate_morphism,
@@ -175,3 +179,77 @@ def test_validate_morphism_catches_fan_incompatibility():
     diag = validate_morphism(mor)
     assert not diag.valid
     assert any("cone" in p for p in diag.problems)
+
+
+# ---------------------------------------------------------------------------
+# primitive collections, against the two routines they replaced
+
+def _reference_hitting_sets(families):
+    """Minimal sets meeting every family member, by branching on each member."""
+    fams = [frozenset(f) for f in families]
+    if any(not f for f in fams):
+        return []
+    found = set()
+
+    def rec(chosen, rest):
+        if not rest:
+            found.add(chosen)
+            return
+        head, tail = rest[0], rest[1:]
+        if chosen & head:
+            rec(chosen, tail)
+            return
+        for x in sorted(head):
+            rec(chosen | {x}, tail)
+
+    rec(frozenset(), fams)
+    keep = [s for s in found if not any(t < s for t in found)]
+    return sorted(tuple(sorted(s)) for s in keep)
+
+
+def _reference_nonfaces(n, facesets):
+    """Minimal index sets in no faceset, all subsets tried by size."""
+    out = []
+    for size in range(1, n + 1):
+        for comb in itertools.combinations(range(1, n + 1), size):
+            s = set(comb)
+            if any(set(prev) <= s for prev in out):
+                continue
+            if not any(s <= f for f in facesets):
+                out.append(comb)
+    return out
+
+
+def test_primitive_collections_match_references():
+    rng = random.Random(31)
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        facesets = [{i for i in range(1, n + 1) if rng.random() < rng.random()}
+                    for _ in range(rng.randint(1, 7))]
+        got = primitive_collections(n, facesets)
+        # the removed locus of present, in its lexicographic order
+        universe = set(range(1, n + 1))
+        assert got == _reference_hitting_sets([sorted(universe - f) for f in facesets])
+        # the intersection relations of moduli, in their (size, set) order
+        by_size = sorted(got, key=lambda s: (len(s), s))
+        assert by_size == _reference_nonfaces(n, facesets), (n, facesets)
+
+
+def test_primitive_collections_edge_cases():
+    # no cones: the empty set is the one minimal nonface
+    assert primitive_collections(3, []) == [()]
+    # the whole orthant: every set is a face
+    assert primitive_collections(3, [{1, 2, 3}]) == []
+    # the zero cone alone: every coordinate is a nonface
+    assert primitive_collections(2, [set()]) == [(1,), (2,)]
+
+
+def test_primitive_collections_large_complexes():
+    # (P^1)^8: one of each pair {2k-1, 2k} per maximal cone
+    cubes = [set(c) for c in itertools.product(*[(2 * k + 1, 2 * k + 2) for k in range(8)])]
+    assert primitive_collections(16, cubes) == [(2 * k + 1, 2 * k + 2) for k in range(8)]
+    # 18-gon: the non-adjacent pairs
+    ring = [{i, i % 18 + 1} for i in range(1, 19)]
+    got = primitive_collections(18, ring)
+    assert len(got) == 135
+    assert all(len(s) == 2 and (s[1] - s[0]) % 18 not in (1, 17) for s in got)

@@ -16,7 +16,6 @@ from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_presentation,
-    column_space_basis,
     determinant,
     hermite_row_form,
     kernel_basis,
@@ -24,7 +23,6 @@ from stackyfans.zlinalg import (
     rank,
     reduce_mod_row_lattice,
     saturate,
-    saturation_index,
     snf,
     solve_integer,
     unimodular_inverse,
@@ -147,7 +145,7 @@ def test_kernel_basis():
     for col in k.columns():
         assert m.apply(col) == (0,)
     # the kernel columns span a saturated rank-2 lattice
-    assert saturation_index(k) == 1
+    assert snf(k).invariant_factors == (1, 1)
     assert kernel_basis(IntMatrix.identity(2)).cols == 0
 
 
@@ -163,12 +161,12 @@ def test_solve_integer():
 
 def test_column_space_and_saturation():
     m = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
-    basis = column_space_basis(m)
-    assert rank(basis) == 2
+    assert rank(m) == 2
     sat = saturate(m)
     assert abs(determinant(sat)) == 1
-    assert saturation_index(m) == 6
-    assert saturation_index(IntMatrix.from_columns([(1, 0)], rows=2)) == 1
+    # the index of the column lattice in its saturation
+    assert math.prod(snf(m).invariant_factors) == 6
+    assert snf(IntMatrix.from_columns([(1, 0)], rows=2)).invariant_factors == (1,)
 
 
 def test_hermite_row_form():
