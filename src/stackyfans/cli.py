@@ -487,7 +487,8 @@ def _cmd_moduli(doc, args):
     for r in md.linear_relations:
         text.append("degree relation " + str(list(r)))
     for s in md.intersection_relations:
-        text.append("never all zero: " + ", ".join(f"x{i}" for i in s))
+        text.append("never all zero: "
+                    + (", ".join(f"x{i}" for i in s) or "(empty set, so no point exists)"))
     for i in md.forced_zero_sections:
         text.append(f"x{i} = 0")
     return report, text

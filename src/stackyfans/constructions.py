@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgab import FgAbHom, free_group, has_finite_cokernel, identity_hom, is_surjective
+from .fgab import FgAbHom, _kernel_lattice, free_group, has_finite_cokernel, identity_hom, is_surjective
 from .polyhedral import (
     Cone,
     Fan,
@@ -38,6 +38,7 @@ from .stacky import (
     _orthant_ray_indices,
     present_quotient,
     primitive_collections,
+    validate_morphism,
 )
 from .zlinalg import (
     IntMatrix,
@@ -155,8 +156,6 @@ def cox_presentation(fan: Fan) -> StackyFan:
 
 
 def _require_valid_morphism(m: StackyMorphism) -> None:
-    from .stacky import validate_morphism
-
     diag = validate_morphism(m)
     if not diag.valid:
         raise PreconditionViolated(
@@ -241,7 +240,7 @@ def gms_check(m: StackyMorphism) -> GmsResult:
         sigma = _onto_preimage(m.Phi, m.source.fan, sp)
         if sigma is None:
             return GmsResult(False, "1", tau, m.target.fan)
-        if sp.is_zero():
+        if not sp.rays:
             tau = sigma
     if tau is None:
         # a fan with no cones at all; nothing to check
@@ -257,8 +256,6 @@ def gms_check(m: StackyMorphism) -> GmsResult:
 
 def _finite_kernel_mod_tau(m: StackyMorphism, tau: Cone) -> bool:
     """Is ker(phi) modulo the image of the tau-span finite?"""
-    from .fgab import _kernel_lattice
-
     n = m.source.target.ngens
     kl = _kernel_lattice(m.phi)
     tspan = saturate(IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank))

@@ -107,16 +107,6 @@ class FgAbHom:
     def apply(self, v: Sequence[int]) -> Vec:
         return self.target.reduce(self.matrix.apply(self.source.reduce(v)))
 
-    def compose(self, other: "FgAbHom") -> "FgAbHom":
-        """self after other."""
-        if other.target != self.source:
-            raise MalformedHom("composition mismatch")
-        return FgAbHom(other.source, self.target, self.matrix @ other.matrix)
-
-    def is_zero(self) -> bool:
-        return all(self.apply(tuple(1 if k == j else 0 for k in range(self.source.ngens)))
-                   == (0,) * self.target.ngens for j in range(self.source.ngens))
-
 
 def identity_hom(g: FgAbGroup) -> FgAbHom:
     return FgAbHom(g, g, IntMatrix.identity(g.ngens))
@@ -196,30 +186,34 @@ class MappingConeDual:
     g1: DiagGroupPresentation
 
 
-_UNIT_ENUM_BOUND = 10 ** 4
-
-
 def _unit_for_row(row: Vec, d: int) -> int:
-    """Deterministic unit u of Z/d making u*row canonical."""
-    reduced = tuple(x % d for x in row)
-    if d <= _UNIT_ENUM_BOUND:
-        best = None
-        for u in range(1, d):
-            if math.gcd(u, d) != 1:
-                continue
-            cand = tuple((u * x) % d for x in reduced)
-            if best is None or (cand, u) < best:
-                best = (cand, u)
-        return best[1] if best else 1
-    x = next((v for v in reduced if v != 0), 0)
-    if x == 0:
-        return 1
-    g = math.gcd(x, d)
-    dp = d // g
-    u = pow(x // g, -1, dp)
-    while math.gcd(u, d) != 1:
-        u += dp
-    return u
+    """Smallest unit u of Z/d whose multiple u*row is lexicographically least.
+
+    Exact for every modulus, one coordinate at a time: u*x mod d depends
+    only on u mod d' = d/gcd(x, d), and the units still allowed are those
+    of a coset u0 + mZ.  Each step takes the least value u*x mod d reachable
+    from that coset and narrows the coset by CRT.
+    """
+    u0, m = 1, 1
+    for x in row:
+        g = math.gcd(x, d)
+        dp = d // g
+        if dp == 1:
+            continue
+        xp = x // g % dp
+        # u mod dp ranges over the units r = u0 mod h, so u*x/g mod dp over
+        # the units v = u0*xp mod h: take the least v, then pin r by CRT
+        h = math.gcd(m, dp)
+        v = u0 * xp % h
+        while math.gcd(v, dp) != 1:
+            v += h
+        r = v * pow(xp, -1, dp) % dp
+        step = dp // h
+        u0 += m * ((r - u0) // h * pow(m // h, -1, step) % step)
+        m *= step
+    while math.gcd(u0, d) != 1:
+        u0 += m
+    return u0
 
 
 def _normalizing_aut(group: FgAbGroup, block: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -3,15 +3,17 @@
 Cones are stored by their sorted primitive extreme rays, which is a
 canonical form for strongly convex cones.  The workhorse is an incremental
 double-description pass (:func:`halfspace_intersection`) used both to
-dualize generator descriptions and to intersect cones.
+dualize generator descriptions and to intersect cones.  A cone runs it once:
+extreme rays and pointedness are read off the generator-facet incidences of
+that one pass.
 
 Derived structure lives on the immutable values and is computed once per
 value: a cone (or image cone) keeps its H-representation (equations and
 facet normals), and a fan keeps the list of all its cones.  Faces come from
 ray-facet incidences: the ray sets of the faces are the intersections of
 facet ray sets (Kaibel & Pfetsch 2002), so subsets of facets are never
-enumerated.  Everything is desk scale (ambient rank <= 6 or so, a dozen rays),
-so clarity wins over asymptotics throughout.
+enumerated.  Inputs stay modest (ambient rank up to about 20, a few dozen
+rays), so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -135,17 +137,10 @@ class Cone:
             if len(r) != self.ambient_rank:
                 raise ValueError("ray length does not match ambient rank")
 
-    @property
-    def dim(self) -> int:
-        return row_rank(self.rays)
-
     @cached_property
     def h_representation(self) -> HRep:
         """(equation normals, facet normals), computed once per cone."""
         return _h_representation(self.rays, self.ambient_rank)
-
-    def is_zero(self) -> bool:
-        return not self.rays
 
 
 @dataclass(frozen=True)
@@ -165,20 +160,25 @@ class ImageCone:
         return _h_representation(self.generators, self.ambient_rank)
 
 
-def cone_contains(c: Union[Cone, ImageCone], v: Sequence, relative_interior: bool = False) -> bool:
-    """Membership of a rational vector, optionally in the relative interior."""
+def cone_contains(c: Union[Cone, ImageCone], v: Sequence) -> bool:
+    """Membership of a rational vector."""
     if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
     eqs, facets = c.h_representation
-    if any(_dot(e, v) != 0 for e in eqs):
-        return False
-    if relative_interior:
-        return all(_dot(f, v) > 0 for f in facets)
-    return all(_dot(f, v) >= 0 for f in facets)
+    return all(_dot(e, v) == 0 for e in eqs) and all(_dot(f, v) >= 0 for f in facets)
 
 
 def canonicalize_cone(generators: Sequence[Sequence[int]], ambient_rank: Optional[int] = None) -> Cone:
-    """Cone from an arbitrary generating set; raises NotStronglyConvex."""
+    """Cone from an arbitrary generating set; raises NotStronglyConvex.
+
+    One double-description pass over the primitive generators gives the
+    equations and facet normals; the rest is read off the facets Z(g)
+    vanishing on each generator g.  A generator on every facet lies in the
+    lineality space, so the cone contains a line.  Otherwise the minimal
+    face containing g is cut out by Z(g) and is spanned by the generators h
+    whose Z(h) contains Z(g).  It is a ray exactly when none of them lies on
+    a smaller face, i.e. has Z(h) strictly larger (Fukuda & Prodon 1996).
+    """
     gens = [tuple(int(x) for x in g) for g in generators]
     if ambient_rank is None:
         if not gens:
@@ -186,12 +186,14 @@ def canonicalize_cone(generators: Sequence[Sequence[int]], ambient_rank: Optiona
         ambient_rank = len(gens[0])
     if any(len(g) != ambient_rank for g in gens):
         raise ValueError("mixed ambient ranks in generating set")
-    eqs, facets = _h_representation(gens, ambient_rank)
-    constraints = list(facets) + list(eqs) + [tuple(-x for x in e) for e in eqs]
-    lin, rays = halfspace_intersection(constraints, ambient_rank)
-    if lin:
-        raise NotStronglyConvex(f"cone contains the line through {lin[0]}")
-    cone = Cone(ambient_rank, tuple(rays))
+    prims = sorted({p for p in map(primitive, gens) if p is not None})
+    eqs, facets = _h_representation(prims, ambient_rank)
+    tight = {g: {n for n in facets if _dot(n, g) == 0} for g in prims}
+    for g, z in tight.items():
+        if len(z) == len(facets):
+            raise NotStronglyConvex(f"cone contains the line through {g}")
+    rays = tuple(g for g, z in tight.items() if not any(zh > z for zh in tight.values()))
+    cone = Cone(ambient_rank, rays)
     # the generators and the extreme rays span one cone: share its H-representation
     cone.__dict__["h_representation"] = (eqs, facets)
     return cone
@@ -222,8 +224,8 @@ def is_smooth_cone(c: Cone) -> bool:
     return len(factors) == len(c.rays) and all(f == 1 for f in factors)
 
 
-def intersect_cones(a: Cone, b: Cone) -> tuple[list[Vec], list[Vec]]:
-    """Lineality and rays of the intersection (lineality empty when pointed)."""
+def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
+    """Extreme rays of the intersection of two pointed cones, sorted."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient mismatch")
     constraints: list[Vec] = []
@@ -233,7 +235,7 @@ def intersect_cones(a: Cone, b: Cone) -> tuple[list[Vec], list[Vec]]:
         for e in eqs:
             constraints.append(e)
             constraints.append(tuple(-x for x in e))
-    return halfspace_intersection(constraints, a.ambient_rank)
+    return halfspace_intersection(constraints, a.ambient_rank)[1]
 
 
 def minimal_face_containing(c: Cone, v: Sequence) -> tuple[Vec, ...]:
@@ -309,11 +311,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     for i in range(len(mc)):
         for j in range(i + 1, len(mc)):
             a, b = mc[i], mc[j]
-            lin, rays = intersect_cones(a, b)
-            if lin:
-                problems.append(
-                    f"intersection of cones {i} and {j} contains a line")
-                continue
+            rays = intersect_cones(a, b)
             if rays:
                 probe = tuple(sum(col) for col in zip(*rays))
             else:
@@ -397,17 +395,13 @@ def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
 
 
 def is_unstable(tau: Cone, beta) -> bool:
-    """Is the image of tau under beta symmetric about the origin?
+    """Is the image of tau under beta a linear subspace?
 
     ``beta`` is an FgAbHom out of the free ambient lattice of tau; only the
-    free part of the target matters.  True when -w lies back in the image
-    cone for the image w of every ray, i.e. the image spans a subspace.
-    Equivalent formulations (zero in the relative interior, dual functionals
-    vanishing on the image) are exercised in tests.
+    free part of the target matters.  A cone is a subspace exactly when its
+    dual is one, i.e. when it has no facet normals.  Other formulations
+    (every -w back in the image, zero in the relative interior) are
+    exercised in tests.
     """
     fr = beta.target.free_rank
-    if fr == 0:
-        return True
-    imgs = [beta.apply(r)[:fr] for r in tau.rays]
-    img = ImageCone(fr, tuple(imgs))
-    return all(cone_contains(img, tuple(-x for x in w)) for w in imgs)
+    return not _h_representation([beta.apply(r)[:fr] for r in tau.rays], fr)[1]

@@ -152,8 +152,9 @@ class QuotientPresentation:
         name = group_name(self.g0_rank, self.group)
         space = f"A^{self.ambient_dim}"
         if self.removed_locus:
-            cut = " u ".join(
-                "V(" + ",".join(f"x{i}" for i in s) + ")" for s in self.removed_locus)
+            # V() is the whole space: a fan with no cones removes everything
+            cut = " u ".join("V(" + ",".join(f"x{i}" for i in s) + ")" if s else space
+                             for s in self.removed_locus)
             space = f"{space} - ({cut})" if len(self.removed_locus) > 1 else f"{space} - {cut}"
         cols = [tuple(self.weights.column(j)) for j in range(self.weights.cols)]
         wtxt = ", ".join(str(c if len(c) != 1 else c[0]) for c in cols)

@@ -57,10 +57,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def row(self, i: int) -> Vec:
         return self.entries[i]
 
@@ -95,17 +91,9 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         entries = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return IntMatrix(len(row_idx), len(col_idx), entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 @dataclass(frozen=True)
@@ -355,9 +343,6 @@ class FgAbGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     def relations(self) -> IntMatrix:
         """Columns generating the relations: d_j on the j-th torsion slot."""

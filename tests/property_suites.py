@@ -126,7 +126,7 @@ def suite_snf_contracts(cases=500, seed=101):
 
 
 # ---------------------------------------------------------------------------
-# 2. three characterizations of unstable cones
+# 2. four characterizations of unstable cones
 
 def _random_group(rng, max_free=3, max_torsion=2):
     torsion = [rng.choice([2, 3, 4, 6, 9])
@@ -145,6 +145,16 @@ def _random_cone(rng, ambient, max_gens=3, bound=10):
     return Cone(ambient, ())
 
 
+def _unstable_per_ray(tau, beta):
+    """Reference: -w lies back in the image cone for the image w of every ray."""
+    fr = beta.target.free_rank
+    if fr == 0:
+        return True
+    imgs = [beta.apply(r)[:fr] for r in tau.rays]
+    img = ImageCone(fr, tuple(imgs))
+    return all(cone_contains(img, tuple(-x for x in w)) for w in imgs)
+
+
 def suite_unstable_routes(cases=500, seed=202):
     rng = random.Random(seed)
     failures = []
@@ -153,19 +163,18 @@ def suite_unstable_routes(cases=500, seed=202):
         tau = _random_cone(rng, n)
         target = _random_group(rng)
         beta = FgAbHom(free_group(n), target, _rand_matrix(rng, target.ngens, n))
-        via_rays = is_unstable(tau, beta)
+        via_facets = is_unstable(tau, beta)
+        via_rays = _unstable_per_ray(tau, beta)
         fr = target.free_rank
-        if fr == 0:
-            via_dual = via_relint = True
-        else:
-            imgs = [beta.apply(r)[:fr] for r in tau.rays]
-            _, dual_rays = halfspace_intersection(imgs, fr)
-            via_dual = all(_dot(u, w) == 0 for u in dual_rays for w in imgs)
-            via_relint = cone_contains(ImageCone(fr, tuple(imgs)), (0,) * fr,
-                                       relative_interior=True)
-        if not (via_rays == via_dual == via_relint):
+        imgs = [beta.apply(r)[:fr] for r in tau.rays]
+        _, dual_rays = halfspace_intersection(imgs, fr)
+        via_dual = all(_dot(u, w) == 0 for u in dual_rays for w in imgs)
+        # zero in the relative interior: strictly inside every facet
+        _, facets = ImageCone(fr, tuple(imgs)).h_representation
+        via_relint = all(_dot(f, (0,) * fr) > 0 for f in facets)
+        if not (via_facets == via_rays == via_dual == via_relint):
             failures.append(
-                f"tau={tau.rays} beta={beta.matrix.entries}: "
+                f"tau={tau.rays} beta={beta.matrix.entries}: facets={via_facets} "
                 f"rays={via_rays} dual={via_dual} relint={via_relint}")
     return failures
 
@@ -186,8 +195,8 @@ def _triangle_sequences(phi, beta_prime):
 
 def _caps(seq):
     zero = FgAbGroup(0, ())
-    first = FgAbHom(zero, seq[0].source, IntMatrix.zero(seq[0].source.ngens, 0))
-    last = FgAbHom(seq[-1].target, zero, IntMatrix.zero(0, seq[-1].target.ngens))
+    first = FgAbHom(zero, seq[0].source, IntMatrix.from_columns([], rows=seq[0].source.ngens))
+    last = FgAbHom(seq[-1].target, zero, IntMatrix(0, seq[-1].target.ngens, ()))
     return [first] + list(seq) + [last]
 
 
@@ -331,11 +340,11 @@ def _morphism_pool():
         StackyFan(Fan(2, (cone((1, 0), (1, 2), rank=2),)), z2,
                   ((1, 0), (0, 1)))).morphism
     a2_to_point = StackyMorphism(
-        StackyFan(quad, z1, ((1,), (-1,))), point_sf, IntMatrix.zero(0, 2),
-        FgAbHom(z1, free_group(0), IntMatrix.zero(0, 1)))
+        StackyFan(quad, z1, ((1,), (-1,))), point_sf, IntMatrix(0, 2, ()),
+        FgAbHom(z1, free_group(0), IntMatrix(0, 1, ())))
     p1_to_point = StackyMorphism(
-        StackyFan(p1, z1, ((1,),)), point_sf, IntMatrix.zero(0, 1),
-        FgAbHom(z1, free_group(0), IntMatrix.zero(0, 1)))
+        StackyFan(p1, z1, ((1,),)), point_sf, IntMatrix(0, 1, ()),
+        FgAbHom(z1, free_group(0), IntMatrix(0, 1, ())))
     a1_sf = StackyFan(quad, z2, ((1, 0), (1, 2)))
     id_a1 = StackyMorphism(a1_sf, a1_sf, IntMatrix.identity(2),
                            identity_hom(z2))

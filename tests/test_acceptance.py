@@ -111,7 +111,7 @@ def test_acceptance_3_good_moduli_spaces():
     if not gms_check(mu2).verdict:
         problems.append("mu_2 line rejected")
     to_point = StackyMorphism(StackyFan(QUAD_FAN, Z1, ((1,), (-1,))),
-                              POINT_SF, IntMatrix.zero(0, 2),
+                              POINT_SF, IntMatrix(0, 2, ()),
                               _hom(Z1, free_group(0), []))
     if not gms_check(to_point).verdict:
         problems.append("plane-mod-torus to point rejected")

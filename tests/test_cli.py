@@ -139,6 +139,9 @@ def test_fan_with_no_cones_removes_everything(capsys, tmp_path):
     code, out, _ = _run(capsys, "present", "--input", path, "--json")
     assert code == 0
     assert json.loads(out)["removed_locus"] == [[]]
+    code, out, _ = _run(capsys, "present", "--input", path)
+    assert code == 0
+    assert out == "[(A^2 - A^2) / G_m] with weights 1, -1\n"
     code, out, _ = _run(capsys, "moduli", "--input", path, "--json")
     assert code == 0
     assert json.loads(out) == {"ambient_dim": 2, "linear_relations": [[1, 1]],
@@ -146,4 +149,5 @@ def test_fan_with_no_cones_removes_everything(capsys, tmp_path):
                                "forced_zero_sections": []}
     code, out, _ = _run(capsys, "moduli", "--input", path)
     assert code == 0
-    assert out == "2 sections\ndegree relation [1, 1]\nnever all zero: \n"
+    assert out == ("2 sections\ndegree relation [1, 1]\n"
+                   "never all zero: (empty set, so no point exists)\n")

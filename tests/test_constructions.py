@@ -189,8 +189,8 @@ def test_iso_rejects_collapse_to_point():
     from stackyfans.fgab import FgAbHom
     to_point = StackyMorphism(
         _sf(QUAD_FAN, free_group(1), [(1,), (-1,)]), POINT_SF,
-        IntMatrix.zero(0, 2),
-        FgAbHom(free_group(1), free_group(0), IntMatrix.zero(0, 1)))
+        IntMatrix(0, 2, ()),
+        FgAbHom(free_group(1), free_group(0), IntMatrix(0, 1, ())))
     res = is_isomorphism(to_point)
     assert not res.verdict
     assert res.failing_condition == 1
@@ -223,8 +223,8 @@ def test_gms_check_mu2_line():
 
 def test_gms_check_a2_mod_gm_to_point():
     source = _sf(QUAD_FAN, free_group(1), [(1,), (-1,)])
-    mor = StackyMorphism(source, POINT_SF, IntMatrix.zero(0, 2),
-                         FgAbHom(free_group(1), free_group(0), IntMatrix.zero(0, 1)))
+    mor = StackyMorphism(source, POINT_SF, IntMatrix(0, 2, ()),
+                         FgAbHom(free_group(1), free_group(0), IntMatrix(0, 1, ())))
     res = gms_check(mor)
     assert res.verdict
     assert res.tau == _cone((1, 0), (0, 1))
@@ -232,8 +232,8 @@ def test_gms_check_a2_mod_gm_to_point():
 
 def test_gms_check_p1_to_point_fails():
     source = _sf(P1_FAN, free_group(1), [(1,)])
-    mor = StackyMorphism(source, POINT_SF, IntMatrix.zero(0, 1),
-                         FgAbHom(free_group(1), free_group(0), IntMatrix.zero(0, 1)))
+    mor = StackyMorphism(source, POINT_SF, IntMatrix(0, 1, ()),
+                         FgAbHom(free_group(1), free_group(0), IntMatrix(0, 1, ())))
     res = gms_check(mor)
     assert not res.verdict
     assert res.failing_condition == "1"

@@ -1,5 +1,5 @@
 """Source hygiene: no stackyfans module imports a name it never uses, and
-every public function or class is used by the package itself."""
+every public function, class or method is used by the package itself."""
 
 import ast
 import importlib
@@ -120,3 +120,39 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"stackyfans.{path.stem}")
         exported = _exported(ast.parse(path.read_text(encoding="utf-8")))
         assert [n for n in sorted(exported) if not hasattr(module, n)] == [], path.name
+
+
+def _unreferenced_methods(paths: list[Path]) -> list[str]:
+    """Public methods of top-level classes whose name no attribute access uses.
+
+    Accesses inside the method's own body do not count.
+    """
+    methods = []
+    uses = defaultdict(set)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.name, node.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses[node.attr].add((path.name, node.lineno))
+    return sorted(f"{module}: {cls}.{m.name}" for module, cls, m in methods
+                  if all(p == module and m.lineno <= line <= m.end_lineno
+                         for p, line in uses[m.name]))
+
+
+def test_package_uses_every_public_method():
+    assert _unreferenced_methods(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_hygiene_check_flags_an_unused_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        'class A:\n    def used(self):\n        return self.size\n\n'
+        '    def lonely(self):\n        return self.lonely()\n\n'
+        '    @property\n    def size(self):\n        return 1\n\n'
+        '    def _private(self):\n        pass\n')
+    (tmp_path / "b.py").write_text('from a import A\n\nX = A().used() + A().size\n')
+    assert _unreferenced_methods([tmp_path / "a.py", tmp_path / "b.py"]) == ["a.py: A.lonely"]
