@@ -46,6 +46,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from .constructions import (
@@ -554,6 +555,7 @@ _COMMANDS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stackyfans")
     sub = p.add_subparsers(dest="command", required=True)

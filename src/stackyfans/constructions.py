@@ -20,16 +20,14 @@ from .polyhedral import (
     all_cones,
     canonicalize_cone,
     cone_contains,
-    cone_contains_all,
     fan_rays,
-    image_cone,
     is_smooth_cone,
     is_unstable,
     maximal_among,
-    maps_into_fan,
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
+    unstable_face,
 )
 from .stacky import (
     QuotientPresentation,
@@ -168,8 +166,10 @@ def _onto_preimage(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
     None when the cones mapping into target have no unique maximal element,
     or when that element's image does not fill target.
     """
-    sigma = preimage_fan(m, fan, target).single_cone
-    if sigma is None or not cone_contains_all(image_cone(m, sigma), target.rays):
+    sigma = preimage_fan(m, fan, target)
+    # the image lies in the pointed cone target, so it is pointed too
+    if sigma is None or canonicalize_cone(
+            [m.apply(r) for r in sigma.rays], target.ambient_rank) != target:
         return None
     return sigma
 
@@ -268,15 +268,18 @@ def _finite_kernel_mod_tau(m: StackyMorphism, tau: Cone) -> bool:
 def gms_construct(sf: StackyFan) -> GmsResult:
     """Construct the candidate good moduli space of a stacky fan.
 
-    Requires finite cokernel.  Fails with "(i)" when the unstable cones
-    have no unique maximal element tau, with "(ii)" when some cone's image
-    does not fit into the constructed fan; otherwise returns the quotient
-    fan together with the morphism onto it.
+    Requires finite cokernel and reads the maximal cones only.  Fails with
+    "(i)" when the unstable faces of the maximal cones have no unique
+    maximal element tau (every unstable cone lies in one of them), with
+    "(ii)" when the image of a maximal cone sigma is not pointed or its
+    preimage is not sigma: a maximal sigma mapping into a fan cone
+    Phi(sigma_d) with preimage sigma_d lies in sigma_d, so sigma = sigma_d.
+    Otherwise returns the fan of the images with the morphism onto it.
     """
     beta = sf.beta
     if not has_finite_cokernel(beta):
         raise PreconditionViolated("good moduli space construction needs finite cokernel")
-    maximal = maximal_among([c for c in all_cones(sf.fan) if is_unstable(c, beta)])
+    maximal = maximal_among([unstable_face(c, beta) for c in sf.fan.maximal_cones])
     if len(maximal) != 1:
         return GmsResult(False, "(i)", None, None)
     tau = maximal[0]
@@ -290,25 +293,16 @@ def gms_construct(sf: StackyFan) -> GmsResult:
     phi = FgAbHom(sf.target, grp, proj)
     big_phi = proj @ beta_mat
     rp = grp.free_rank
-    candidates = {}
-    for c in all_cones(sf.fan):
-        gens = [big_phi.apply(r) for r in c.rays]
+    images = []
+    for sigma in sf.fan.maximal_cones:
         try:
-            cand = canonicalize_cone(gens, ambient_rank=rp)
+            image = canonicalize_cone([big_phi.apply(r) for r in sigma.rays], ambient_rank=rp)
         except NotStronglyConvex:
-            continue
-        candidates[cand.rays] = cand
-    # kept candidates nest exactly when their onto-preimages do: a cone
-    # mapping into c maps into any d containing c, and c = Phi(sigma_c)
-    kept = {}
-    for cand in candidates.values():
-        sigma = _onto_preimage(big_phi, sf.fan, cand)
-        if sigma is not None:
-            kept[sigma] = cand
-    gms_fan = Fan(rp, tuple(kept[sigma] for sigma in maximal_among(list(kept))))
-    for c in sf.fan.maximal_cones:
-        if not maps_into_fan(big_phi, c, gms_fan):
-            return GmsResult(False, "(ii)", tau, gms_fan)
+            return GmsResult(False, "(ii)", tau, None)
+        if preimage_fan(big_phi, sf.fan, image) != sigma:
+            return GmsResult(False, "(ii)", tau, None)
+        images.append(image)
+    gms_fan = Fan(rp, tuple(images))
     target_sf = StackyFan(gms_fan, grp, tuple(IntMatrix.identity(rp).columns()))
     morphism = StackyMorphism(sf, target_sf, big_phi, phi)
     return GmsResult(True, None, tau, gms_fan, morphism)

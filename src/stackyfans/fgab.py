@@ -258,7 +258,8 @@ def _strictification(beta: FgAbHom) -> IntMatrix:
     return beta.matrix.hstack(beta.target.relations())
 
 
-@lru_cache(maxsize=None)
+# bounded, so a process serving many requests keeps only the recent beta
+@lru_cache(maxsize=32)
 def _g1_data(beta: FgAbHom):
     bt = _strictification(beta)
     raw_group, raw_proj = cokernel_presentation(bt.transpose())

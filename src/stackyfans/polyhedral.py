@@ -8,12 +8,12 @@ extreme rays and pointedness are read off the generator-facet incidences of
 that one pass.
 
 Derived structure lives on the immutable values and is computed once per
-value: a cone (or image cone) keeps its H-representation (equations and
-facet normals), and a fan keeps the list of all its cones.  Faces come from
-ray-facet incidences: the ray sets of the faces are the intersections of
-facet ray sets (Kaibel & Pfetsch 2002), so subsets of facets are never
-enumerated.  Inputs stay modest (ambient rank up to about 20, a few dozen
-rays), so clarity wins over asymptotics throughout.
+value: a cone keeps its H-representation (equations and facet normals), and
+a fan keeps the list of all its cones.  Faces come from ray-facet
+incidences: the ray sets of the faces are the intersections of facet ray
+sets (Kaibel & Pfetsch 2002), so subsets of facets are never enumerated.
+Inputs stay modest (ambient rank up to about 20, a few dozen rays), so
+clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .zlinalg import IntMatrix, Vec, determinant, row_rank, saturate, snf, solve_integer
 
@@ -143,24 +143,7 @@ class Cone:
         return _h_representation(self.rays, self.ambient_rank)
 
 
-@dataclass(frozen=True)
-class ImageCone:
-    """A cone given by an arbitrary generating set, not canonicalized.
-
-    Keeps membership queries possible even when the cone is not strongly
-    convex (e.g. images of cones under lattice maps).
-    """
-
-    ambient_rank: int
-    generators: tuple[Vec, ...]
-
-    @cached_property
-    def h_representation(self) -> HRep:
-        """(equation normals, facet normals), computed once per value."""
-        return _h_representation(self.generators, self.ambient_rank)
-
-
-def cone_contains(c: Union[Cone, ImageCone], v: Sequence) -> bool:
+def cone_contains(c: Cone, v: Sequence) -> bool:
     """Membership of a rational vector."""
     if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
@@ -280,9 +263,10 @@ def all_cones(fan: Fan) -> list[Cone]:
 
 
 def maximal_among(cones: Sequence[Cone]) -> list[Cone]:
-    """The cones whose ray set lies properly inside no other's, in input order."""
-    sets = [frozenset(c.rays) for c in cones]
-    return [c for c, s in zip(cones, sets) if not any(s < t for t in sets)]
+    """The distinct cones whose ray set lies properly inside no other's, in input order."""
+    unique = list(dict.fromkeys(cones))
+    sets = [frozenset(c.rays) for c in unique]
+    return [c for c, s in zip(unique, sets) if not any(s < t for t in sets)]
 
 
 def fan_rays(fan: Fan) -> list[Vec]:
@@ -330,13 +314,6 @@ def cone_contains_all(c: Cone, vs: Iterable[Sequence]) -> bool:
     return all(cone_contains(c, v) for v in vs)
 
 
-def image_cone(m: IntMatrix, c: Cone) -> ImageCone:
-    """Image of a cone under a lattice map, kept as a generating set."""
-    if m.cols != c.ambient_rank:
-        raise ValueError("matrix does not act on the cone's ambient lattice")
-    return ImageCone(m.rows, tuple(m.apply(r) for r in c.rays))
-
-
 def maps_into_fan(m: IntMatrix, c: Cone, fan: Fan) -> bool:
     """Does m map the cone c into some cone of the fan?
 
@@ -347,22 +324,21 @@ def maps_into_fan(m: IntMatrix, c: Cone, fan: Fan) -> bool:
     return any(cone_contains_all(tc, imgs) for tc in fan.maximal_cones)
 
 
-@dataclass(frozen=True)
-class PreimageFan:
-    subfan: Fan
-    single_cone: Optional[Cone]
+def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
+    """The unique maximal cone of the fan mapping into target, or None.
 
-
-def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> PreimageFan:
-    """Cones of the fan whose image lies in the target cone.
-
-    The collection is closed under faces, hence a subfan; when it has a
-    unique maximal element that cone is reported separately.
+    Let S be the fan rays mapping into target.  Each is a cone mapping into
+    target, so a unique maximal such cone has the rays S.  Conversely, if S
+    spans a face M of a maximal cone, every cone mapping into target has its
+    rays in S and so is a face of M: two cones of a fan meet in a common face.
     """
-    inside = {r for r in fan_rays(fan) if cone_contains(target, m.apply(r))}
-    maximal = maximal_among([c for c in all_cones(fan) if inside.issuperset(c.rays)])
-    single = maximal[0] if len(maximal) == 1 else None
-    return PreimageFan(Fan(fan.ambient_rank, tuple(maximal)), single)
+    inside = tuple(r for r in fan_rays(fan) if cone_contains(target, m.apply(r)))
+    probe = [sum(r[i] for r in inside) for i in range(fan.ambient_rank)]
+    for sigma in fan.maximal_cones:
+        if (set(inside) <= set(sigma.rays)
+                and minimal_face_containing(sigma, probe) == inside):
+            return Cone(fan.ambient_rank, inside)
+    return None
 
 
 def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
@@ -375,8 +351,8 @@ def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
     imgs = [m.apply(r) for r in sigma.rays]
     if not all(cone_contains(sigma_prime, w) for w in imgs):
         raise PreconditionViolated("cone does not map into the target cone")
-    img = ImageCone(sigma_prime.ambient_rank, tuple(imgs))
-    if not all(cone_contains(img, r) for r in sigma_prime.rays):
+    # the image lies in the pointed cone sigma', so it is pointed too
+    if canonicalize_cone(imgs, sigma_prime.ambient_rank) != sigma_prime:
         return False
     span = saturate(IntMatrix.from_columns(list(sigma.rays) or [], rows=sigma.ambient_rank))
     span_p = saturate(IntMatrix.from_columns(list(sigma_prime.rays) or [],
@@ -394,14 +370,23 @@ def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
     return abs(determinant(x)) == 1
 
 
-def is_unstable(tau: Cone, beta) -> bool:
-    """Is the image of tau under beta a linear subspace?
+def unstable_face(sigma: Cone, beta) -> Cone:
+    """The largest face of sigma whose image under beta is a linear subspace.
 
-    ``beta`` is an FgAbHom out of the free ambient lattice of tau; only the
-    free part of the target matters.  A cone is a subspace exactly when its
-    dual is one, i.e. when it has no facet normals.  Other formulations
-    (every -w back in the image, zero in the relative interior) are
-    exercised in tests.
+    ``beta`` is an FgAbHom out of the free ambient lattice of sigma; only
+    the free part of its target matters.  One double description finds the
+    rays whose image lies on every facet of beta(sigma).  They span the
+    preimage of the face lin beta(sigma), so a face of sigma, with image lin
+    beta(sigma): a finitely generated cone's lineality space is spanned by
+    the generators in it.  Every face with a subspace image maps into it.
     """
     fr = beta.target.free_rank
-    return not _h_representation([beta.apply(r)[:fr] for r in tau.rays], fr)[1]
+    imgs = {r: beta.apply(r)[:fr] for r in sigma.rays}
+    _, facets = _h_representation(imgs.values(), fr)
+    return Cone(sigma.ambient_rank,
+                tuple(r for r, w in imgs.items() if all(_dot(n, w) == 0 for n in facets)))
+
+
+def is_unstable(tau: Cone, beta) -> bool:
+    """Is the image of tau under beta a linear subspace?"""
+    return unstable_face(tau, beta) == tau

@@ -151,3 +151,12 @@ def test_fan_with_no_cones_removes_everything(capsys, tmp_path):
     assert code == 0
     assert out == ("2 sections\ndegree relation [1, 1]\n"
                    "never all zero: (empty set, so no point exists)\n")
+
+
+def test_gms_condition_ii_reports_no_fan(capsys):
+    # the line with a doubled origin: both rays map onto one ray, which has
+    # no single preimage cone, so no moduli fan is reported
+    code, out, err = _run(capsys, "gms", "--input", FIXTURES / "nonseparated.json", "--json")
+    assert (code, err) == (0, "")
+    assert out == ('{"verdict":false,"failing_condition":"(ii)","tau":[],"gms":null,'
+                   '"Phi_images":null,"phi_images":null}\n')

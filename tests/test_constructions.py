@@ -5,9 +5,17 @@ import random
 
 import pytest
 
-from property_suites import _random_stacky_fan
+from property_suites import (
+    _in_generated_cone,
+    _preimage_all_cones,
+    _random_polyhedral_stacky_fan,
+    _random_stacky_fan,
+    _unstable_per_ray,
+)
+from stackyfans import polyhedral
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
+    GmsResult,
     NotSmooth,
     _onto_preimage,
     canonical_stack,
@@ -21,6 +29,7 @@ from stackyfans.constructions import (
 )
 from stackyfans.fgab import FgAbGroup, free_group, has_finite_cokernel, identity_hom
 from stackyfans.polyhedral import (
+    Cone,
     Fan,
     NotStronglyConvex,
     PreconditionViolated,
@@ -28,11 +37,13 @@ from stackyfans.polyhedral import (
     canonicalize_cone,
     cone_contains,
     cone_contains_all,
+    halfspace_intersection,
     is_unstable,
     maximal_among,
+    maps_into_fan,
 )
 from stackyfans.stacky import StackyFan, StackyMorphism
-from stackyfans.zlinalg import IntMatrix, cokernel_presentation, saturate
+from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate
 
 
 def _cone(*gens, rank=None):
@@ -347,12 +358,102 @@ def test_gms_filter_matches_pairwise_reference():
             seen.add("(i)")
             continue
         fan, fits, nkept = ref
-        assert res.gms_fan == fan, sf
+        assert res.gms_fan == (fan if fits else None), sf
         assert res.verdict == fits and res.failing_condition == (None if fits else "(ii)"), sf
         seen.add(res.failing_condition)
         if len(fan.maximal_cones) < nkept:
             seen.add("filtered")
     assert seen == {None, "(i)", "(ii)", "filtered"}
+
+
+def _gms_all_cones(sf):
+    """Reference gms_construct: walk every cone of the fan.
+
+    The unstable cones give tau; every pointed image of a cone is a
+    candidate, kept when its preimage (the all-cones reference) maps onto
+    it; the moduli fan is the maximal kept candidates, and "(ii)" means a
+    maximal cone maps into none of them.  The "(ii)" report keeps that
+    partial fan.
+    """
+    beta = sf.beta
+    maximal = maximal_among([c for c in all_cones(sf.fan) if _unstable_per_ray(c, beta)])
+    if len(maximal) != 1:
+        return GmsResult(False, "(i)", None, None)
+    tau = maximal[0]
+    tspan = saturate(IntMatrix.from_columns(list(tau.rays), rows=sf.lattice_rank))
+    beta_mat = IntMatrix.from_columns(list(sf.beta_images), rows=sf.target.ngens)
+    grp, proj = cokernel_presentation(
+        saturate((beta_mat @ tspan).hstack(sf.target.relations())))
+    phi = FgAbHom(sf.target, grp, proj)
+    big_phi = proj @ beta_mat
+    rp = grp.free_rank
+    candidates = {}
+    for c in all_cones(sf.fan):
+        try:
+            cand = canonicalize_cone([big_phi.apply(r) for r in c.rays], ambient_rank=rp)
+        except NotStronglyConvex:
+            continue
+        candidates[cand.rays] = cand
+    kept = {}
+    for cand in candidates.values():
+        sigma = _preimage_all_cones(big_phi, sf.fan, cand)
+        if sigma is not None and all(
+                _in_generated_cone([big_phi.apply(r) for r in sigma.rays], w, rp)
+                for w in cand.rays):
+            kept[sigma] = cand
+    gms_fan = Fan(rp, tuple(kept[sigma] for sigma in maximal_among(list(kept))))
+    if not all(maps_into_fan(big_phi, c, gms_fan) for c in sf.fan.maximal_cones):
+        return GmsResult(False, "(ii)", tau, gms_fan)
+    target_sf = StackyFan(gms_fan, grp, tuple(IntMatrix.identity(rp).columns()))
+    return GmsResult(True, None, tau, gms_fan, StackyMorphism(sf, target_sf, big_phi, phi))
+
+
+def test_gms_construct_matches_all_cones_reference():
+    rng = random.Random(83)
+    seen = {}
+    checked = nonsimplicial = 0
+    while checked < 2000:
+        sf = (_random_stacky_fan if checked % 2 else _random_polyhedral_stacky_fan)(rng)
+        if not has_finite_cokernel(sf.beta):
+            continue
+        checked += 1
+        nonsimplicial += any(len(c.rays) > row_rank(c.rays) for c in sf.fan.maximal_cones)
+        res, ref = gms_construct(sf), _gms_all_cones(sf)
+        assert (res.verdict, res.failing_condition, res.tau) == \
+            (ref.verdict, ref.failing_condition, ref.tau), sf
+        if res.verdict:
+            assert (res.gms_fan, res.morphism) == (ref.gms_fan, ref.morphism), sf
+        else:
+            assert res.gms_fan is None and res.morphism is None, sf
+        key = (res.failing_condition, sf.lattice_rank > 2)
+        seen[key] = seen.get(key, 0) + 1
+    assert all(seen.get((c, big), 0) >= 20
+               for c in (None, "(i)", "(ii)") for big in (False, True)), seen
+    assert nonsimplicial >= 200
+
+
+def _kgon_fantastack(k):
+    """The fantastack of the cone over the lattice k-gon (1, i, i^2): one k-ray cone."""
+    rays = tuple(sorted(tuple(int(j == i) for j in range(k)) for i in range(k)))
+    return _sf(Fan(k, (Cone(k, rays),)), free_group(3), [(1, i, i * i) for i in range(k)])
+
+
+def test_gms_construct_reads_the_maximal_cones(monkeypatch):
+    sf = _kgon_fantastack(12)
+    want = Fan(3, (_cone(*[(1, i, i * i) for i in range(12)]),))
+    budget = 3 * len(sf.fan.maximal_cones)
+    calls = []
+
+    def counting(normals, dim):
+        calls.append(dim)
+        if len(calls) > budget:
+            raise AssertionError(f"more than {budget} double descriptions")
+        return halfspace_intersection(normals, dim)
+
+    monkeypatch.setattr(polyhedral, "halfspace_intersection", counting)
+    res = gms_construct(sf)
+    assert res.verdict and res.tau == Cone(12, ())
+    assert res.gms_fan == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from property_suites import (
+    _in_generated_cone,
+    _preimage_all_cones,
+    _random_polyhedral_stacky_fan,
+    _random_stacky_fan,
+    _unstable_per_ray,
+)
 from stackyfans import polyhedral
 from stackyfans.fgab import FgAbGroup, FgAbHom, free_group
 from stackyfans.polyhedral import (
     Cone,
     Fan,
-    ImageCone,
     NotStronglyConvex,
     PreconditionViolated,
     all_cones,
@@ -21,14 +27,15 @@ from stackyfans.polyhedral import (
     faces,
     fan_rays,
     halfspace_intersection,
-    image_cone,
     intersect_cones,
     is_smooth_cone,
     is_unstable,
+    maximal_among,
     minimal_face_containing,
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
+    unstable_face,
     validate_fan,
 )
 from stackyfans.zlinalg import IntMatrix, row_rank
@@ -115,8 +122,8 @@ def test_line_witness_lies_in_the_lineality_space():
             canonicalize_cone(gens, ambient_rank=n)
         except NotStronglyConvex as e:
             v = ast.literal_eval(str(e).rsplit("through ", 1)[1])
-            span = ImageCone(n, tuple(gens))
-            assert cone_contains(span, v) and cone_contains(span, tuple(-x for x in v))
+            assert _in_generated_cone(gens, v, n)
+            assert _in_generated_cone(gens, tuple(-x for x in v), n)
             assert any(x != 0 for x in v)
             seen += 1
     assert seen >= 100
@@ -265,22 +272,96 @@ def test_validate_fan_rejects_contained_maximal_cone():
 def test_preimage_fan():
     fan = Fan(2, (QUAD,))
     m = IntMatrix.identity(2)
-    pre = preimage_fan(m, fan, QUAD)
-    assert pre.single_cone == QUAD
+    assert preimage_fan(m, fan, QUAD) == QUAD
     # only the origin maps into the zero cone
-    pre0 = preimage_fan(m, fan, canonicalize_cone([], ambient_rank=2))
-    assert pre0.single_cone == canonicalize_cone([], ambient_rank=2)
-    # collapse onto the x-axis: two rays compete, no single cone
+    zero = canonicalize_cone([], ambient_rank=2)
+    assert preimage_fan(m, fan, zero) == zero
+    # collapse onto the x-axis: the whole quadrant maps into the ray
     proj = IntMatrix.from_rows([[1, 0], [0, 0]])
-    prex = preimage_fan(proj, fan, canonicalize_cone([(1, 0)], ambient_rank=2))
-    assert prex.single_cone == QUAD
+    assert preimage_fan(proj, fan, canonicalize_cone([(1, 0)], ambient_rank=2)) == QUAD
+    # two rays of different cones map into the ray: no single cone
+    two_rays = Fan(2, (canonicalize_cone([(1, 0)]), canonicalize_cone([(0, 1)])))
+    half_line = canonicalize_cone([(1,)])
+    assert preimage_fan(IntMatrix.from_rows([[1, 1]]), two_rays, half_line) is None
+    # the fan with no cones has no preimage cone at all
+    assert preimage_fan(m, Fan(2, ()), QUAD) is None
 
 
-def test_image_cone_membership():
-    img = image_cone(IntMatrix.from_rows([[1, 0], [0, 0]]), QUAD)
-    assert isinstance(img, ImageCone)
-    assert cone_contains(img, (3, 0))
-    assert not cone_contains(img, (0, 1))
+def _random_target(rng, rank):
+    """A pointed cone in Z^rank from up to four small generators."""
+    while True:
+        try:
+            return canonicalize_cone(
+                [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, 4))],
+                ambient_rank=rank)
+        except NotStronglyConvex:
+            pass
+
+
+def test_preimage_fan_matches_all_cones_reference():
+    rng = random.Random(23)
+    found = missing = nonsimplicial = 0
+    for i in range(1500):
+        sf = (_random_stacky_fan if i % 2 else _random_polyhedral_stacky_fan)(rng)
+        n = sf.lattice_rank
+        m = IntMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))], cols=n)
+        if rng.random() < 0.5:
+            # the image of a cone of the fan, as the moduli construction asks
+            c = rng.choice(sf.fan.cones)
+            try:
+                target = canonicalize_cone([m.apply(r) for r in c.rays], ambient_rank=m.rows)
+            except NotStronglyConvex:
+                continue
+        else:
+            target = _random_target(rng, m.rows)
+        got = preimage_fan(m, sf.fan, target)
+        assert got == _preimage_all_cones(m, sf.fan, target), (sf.fan, m, target)
+        found += got is not None
+        missing += got is None
+        nonsimplicial += any(len(c.rays) > row_rank(c.rays) for c in sf.fan.maximal_cones)
+    assert found >= 1000 and missing >= 100 and nonsimplicial >= 200
+
+
+def test_maximal_among_reports_each_cone_once():
+    zero = canonicalize_cone([], ambient_rank=2)
+    ray = canonicalize_cone([(1, 0)])
+    assert maximal_among([zero, zero]) == [zero]
+    assert maximal_among([ray, QUAD, ray, zero]) == [QUAD]
+
+
+def test_unstable_face():
+    # P^1 as a quotient of A^2 - 0: each maximal ray has the zero cone as
+    # its unstable face, and the two agree
+    weights = FgAbHom(free_group(2), free_group(1), IntMatrix.from_rows([[1, 1]]))
+    for r in ((1, 0), (0, 1)):
+        assert unstable_face(canonicalize_cone([r]), weights) == Cone(2, ())
+    line = FgAbHom(free_group(2), free_group(1), IntMatrix.from_rows([[1, -1]]))
+    assert unstable_face(QUAD, line) == QUAD
+    # a 3-ray cone mapping onto a half-plane: the two rays on its boundary
+    # line span the unstable face
+    c = canonicalize_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    half = FgAbHom(free_group(3), free_group(2), IntMatrix.from_rows([[1, -1, 0], [0, 0, 1]]))
+    assert unstable_face(c, half) == canonicalize_cone([(1, 0, 0), (0, 1, 0)])
+
+
+def test_unstable_faces_give_the_maximal_unstable_cones():
+    rng = random.Random(29)
+    proper = 0
+    for i in range(1000):
+        sf = (_random_stacky_fan if i % 2 else _random_polyhedral_stacky_fan)(rng)
+        beta = sf.beta
+        by_face = []
+        for sigma in sf.fan.maximal_cones:
+            u = unstable_face(sigma, beta)
+            assert u in faces(sigma) and _unstable_per_ray(u, beta), (sigma, beta)
+            proper += Cone(sf.lattice_rank, ()) != u != sigma
+            by_face.append(u)
+        want = maximal_among([c for c in sf.fan.cones if _unstable_per_ray(c, beta)])
+        assert set(maximal_among(by_face)) == set(want), sf
+        for c in sf.fan.cones:
+            assert is_unstable(c, beta) == _unstable_per_ray(c, beta), (c, beta)
+    assert proper >= 50
 
 
 def test_monoid_iso_identity_and_index():
