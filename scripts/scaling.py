@@ -1,0 +1,154 @@
+"""Scaling sweep: fan validation and ``gms`` on families of growing fans.
+
+Run from the repository root (the test suite does not collect this file):
+
+    PYTHONPATH=src python scripts/scaling.py [--out BENCH_scaling.json]
+
+Families and sizes:
+
+* ``orthant``: two 3-ray orthant cones cone(e1, e2, e3) and cone(e3, e4, e5)
+  in Z^l, l = 8, 12, 18, 24, with beta the identity of Z^l;
+* ``p1_cox``: Cox data of (P^1)^m, m = 3..6: 2^m orthant cones of m rays in
+  Z^2m, beta sending e_2j and e_2j+1 to +e_j and -e_j of Z^m;
+* ``kgon``: the fantastack of the cone over the lattice k-gon, k = 7, 10,
+  16: one k-ray cone in Z^k, beta sending e_i to (1, i, i^2).
+
+Two measurements per size:
+
+* ``validate``: load the maximal cones from their rays (as the CLI loader
+  does) and run ``validate_fan``;
+* ``gms``: the in-process CLI call ``gms --input <file> --json``.
+
+Each measurement runs five times, or fewer once the runs of one size have
+taken 20 s (the slowest sizes before fan validation started from a known
+cone took 40 s a run); every function cache of the package is cleared
+before each run.  The output records, per size, the median wall
+time, the number of runs and the number of ``halfspace_intersection`` calls
+of one run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from stackyfans import cli, polyhedral
+
+
+def _unit(n: int, i: int) -> list[int]:
+    return [int(k == i) for k in range(n)]
+
+
+def _orthant(ell: int) -> dict:
+    return {"lattice_rank": ell,
+            "fan": {"maximal_cones": [[_unit(ell, i) for i in (0, 1, 2)],
+                                      [_unit(ell, i) for i in (2, 3, 4)]]},
+            "target": {"rank": ell, "torsion": []},
+            "beta_images": [_unit(ell, i) for i in range(ell)]}
+
+
+def _p1_cox(m: int) -> dict:
+    cones = [[_unit(2 * m, 2 * j + bit) for j, bit in enumerate(bits)]
+             for bits in itertools.product((0, 1), repeat=m)]
+    images = [[s * x for x in _unit(m, j)] for j in range(m) for s in (1, -1)]
+    return {"lattice_rank": 2 * m, "fan": {"maximal_cones": cones},
+            "target": {"rank": m, "torsion": []}, "beta_images": images}
+
+
+def _kgon(k: int) -> dict:
+    return {"lattice_rank": k, "fan": {"maximal_cones": [[_unit(k, i) for i in range(k)]]},
+            "target": {"rank": 3, "torsion": []},
+            "beta_images": [[1, i, i * i] for i in range(k)]}
+
+
+REPEATS = 5
+BUDGET_S = 20.0
+
+FAMILIES = {
+    "orthant": (_orthant, (8, 12, 18, 24)),
+    "p1_cox": (_p1_cox, (3, 4, 5, 6)),
+    "kgon": (_kgon, (7, 10, 16)),
+}
+
+
+def _clear_caches() -> None:
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("stackyfans."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def _validate(doc: dict, path: Path) -> None:
+    rank = doc["lattice_rank"]
+    fan = polyhedral.Fan(rank, tuple(
+        polyhedral.canonicalize_cone([tuple(r) for r in rays], ambient_rank=rank)
+        for rays in doc["fan"]["maximal_cones"]))
+    if not polyhedral.validate_fan(fan).valid:
+        raise SystemExit(f"{path}: the fan does not validate")
+
+
+def _gms(doc: dict, path: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run_command(["gms", "--input", str(path), "--json"])
+    if code != 0 or not json.loads(out.getvalue())["verdict"]:
+        raise SystemExit(f"{path}: gms failed (exit {code})")
+
+
+def _measure(task, doc: dict, path: Path) -> dict:
+    original = polyhedral.halfspace_intersection
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    times = []
+    try:
+        while len(times) < REPEATS and sum(times) < BUDGET_S:
+            _clear_caches()
+            polyhedral.halfspace_intersection = counting if not times else original
+            t0 = time.perf_counter()
+            task(doc, path)
+            times.append(time.perf_counter() - t0)
+    finally:
+        polyhedral.halfspace_intersection = original
+    return {"median_s": statistics.median(times), "runs": len(times),
+            "halfspace_intersection_calls": calls}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default="BENCH_scaling.json")
+    args = ap.parse_args(argv)
+    report = {"python": platform.python_version(), "machine": platform.machine(),
+              "repeats": REPEATS, "budget_s": BUDGET_S, "families": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, (build, sizes) in FAMILIES.items():
+            rows = report["families"][family] = []
+            for size in sizes:
+                doc = build(size)
+                path = Path(tmp) / f"{family}_{size}.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                row = {"size": size}
+                for name, task in (("validate", _validate), ("gms", _gms)):
+                    row[name] = _measure(task, doc, path)
+                rows.append(row)
+                print(f"{family} {size}: validate {row['validate']['median_s']:.4f} s, "
+                      f"gms {row['gms']['median_s']:.4f} s", file=sys.stderr)
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,11 +1,18 @@
 """Rational polyhedral cones and fans, exact arithmetic only.
 
 Cones are stored by their sorted primitive extreme rays, which is a
-canonical form for strongly convex cones.  The workhorse is an incremental
-double-description pass (:func:`halfspace_intersection`) used both to
-dualize generator descriptions and to intersect cones.  A cone runs it once:
-extreme rays and pointedness are read off the generator-facet incidences of
-that one pass.
+canonical form for strongly convex cones.  The workhorse is one incremental
+double-description routine (:func:`halfspace_intersection`) with two
+starting points.  Dualizing a generator set starts from all of Z^n; a cone
+runs it once, and its extreme rays and pointedness are read off the
+generator-facet incidences of that one pass.  Intersecting two cones starts
+from the first cone and adds only the constraints of the second, skipping
+those no current ray violates, so a cone inside the other costs no
+combination step.  Every ray carries its zero set, the bitmask of the
+constraints it lies on, updated incrementally; a (+, -) pair of rays is
+combined only when no third ray lies on all their shared constraints (the
+combinatorial adjacency test of Fukuda & Prodon 1996), which keeps the ray
+set exactly the extreme rays at every step with no rank computation.
 
 Derived structure lives on the immutable values and is computed once per
 value: a cone keeps its H-representation (equations and facet normals), and
@@ -21,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .zlinalg import IntMatrix, Vec, determinant, row_rank, saturate, snf, solve_integer
+from .zlinalg import IntMatrix, Vec, determinant, saturate, snf, solve_integer
 
 
 class NotStronglyConvex(Exception):
@@ -35,7 +43,7 @@ class PreconditionViolated(Exception):
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _size_order(rays: tuple[Vec, ...]) -> tuple:
@@ -53,21 +61,44 @@ def primitive(v: Sequence[int]) -> Optional[Vec]:
     return tuple(x // g for x in v)
 
 
-def halfspace_intersection(normals: Sequence[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
+def halfspace_intersection(normals: Sequence[Vec], dim: int,
+                           start: Optional[Cone] = None) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of {x : n . x >= 0 for all n}.
 
-    Starts from all of Z^dim and adds one halfspace at a time, splitting the
-    lineality space and recombining rays across the new hyperplane.  Rays
-    are pruned to extreme ones after every step via the active-constraint
-    rank test, so intermediate sets stay small.
+    Adds the halfspaces one at a time to a starting cone: all of Z^dim when
+    ``start`` is None, else the pointed cone ``start`` (its rays, which must
+    be its extreme rays, with its facets and +- equations as the constraints
+    already seen), so that the result is ``start`` cut by the normals.
+
+    Each ray carries its zero set, the bitmask of the seen constraints it
+    lies on.  A constraint that meets the lineality space turns one line
+    into a ray that lies on every old constraint, and projects the other
+    rays onto its hyperplane: they keep their bits and gain the new one.  A
+    constraint that vanishes on the lineality space and that no ray violates
+    is skipped.  Otherwise the rays on its negative side give way to one ray
+    per adjacent (+, -) pair, lying on the pair's shared constraints and the
+    new one; rays on the hyperplane gain its bit.  Two rays are adjacent
+    exactly when no third ray lies on every seen constraint they share
+    (Fukuda & Prodon 1996, Prop. 7), so the rays stay exactly the extreme
+    rays at every step and nothing needs pruning.
     """
-    lineality: list[Vec] = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[Vec] = []
-    seen: list[Vec] = []
+    if start is None:
+        lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+        rays: list[tuple[Vec, int]] = []
+        nseen = 0
+    else:
+        eqs, facets = start.h_representation
+        # the facets come first; every ray lies on the +- equations after them
+        nseen = len(facets) + 2 * len(eqs)
+        on_eqs = (1 << nseen) - (1 << len(facets))
+        lineality = []
+        rays = [(r, on_eqs | sum(1 << k for k, n in enumerate(facets) if _dot(n, r) == 0))
+                for r in start.rays]
     for raw in normals:
-        a = tuple(int(x) for x in raw)
-        if all(x == 0 for x in a):
+        a = tuple(map(int, raw))
+        if not any(a):
             continue
+        bit = 1 << nseen
         products = [(_dot(a, l), l) for l in lineality]
         pivots = [(s, l) for s, l in products if s != 0]
         if pivots:
@@ -85,34 +116,30 @@ def halfspace_intersection(normals: Sequence[Vec], dim: int) -> tuple[list[Vec],
                     if w is not None:
                         new_lin.append(w)
             projected = []
-            for r in rays:
+            for r, z in rays:
                 t = _dot(a, r)
-                w = primitive(tuple(s0 * x - t * y for x, y in zip(r, l0)))
-                if w is not None:
-                    projected.append(w)
-            rays = projected + [l0]
+                projected.append((primitive(tuple(s0 * x - t * y for x, y in zip(r, l0))),
+                                  z | bit))
+            rays = projected + [(l0, bit - 1)]
             lineality = new_lin
         else:
             plus, zero, minus = [], [], []
-            for r in rays:
+            for r, z in rays:
                 t = _dot(a, r)
-                (plus if t > 0 else zero if t == 0 else minus).append((t, r))
-            kept = [r for _, r in plus] + [r for _, r in zero]
-            for tp, p in plus:
-                for tm, m in minus:
-                    w = primitive(tuple(tp * x - tm * y for x, y in zip(m, p)))
-                    if w is not None:
-                        kept.append(w)
+                (plus if t > 0 else zero if t == 0 else minus).append((t, r, z))
+            if not minus:
+                continue
+            masks = [z for _, z in rays]
+            kept = [(r, z) for _, r, z in plus] + [(r, z | bit) for _, r, z in zero]
+            for tp, p, zp in plus:
+                for tm, m, zm in minus:
+                    common = zp & zm
+                    if sum(1 for z in masks if (z & common) == common) == 2:
+                        kept.append((primitive(tuple(tp * x - tm * y for x, y in zip(m, p))),
+                                     common | bit))
             rays = kept
-        seen.append(a)
-        target = dim - len(lineality) - 1
-        pruned = []
-        for r in dict.fromkeys(rays):
-            active = [c for c in seen if _dot(c, r) == 0]
-            if row_rank(active) == target:
-                pruned.append(r)
-        rays = pruned
-    return lineality, sorted(rays)
+        nseen += 1
+    return lineality, sorted(r for r, _ in rays)
 
 
 HRep = tuple[tuple[Vec, ...], tuple[Vec, ...]]
@@ -208,17 +235,17 @@ def is_smooth_cone(c: Cone) -> bool:
 
 
 def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
-    """Extreme rays of the intersection of two pointed cones, sorted."""
+    """Extreme rays of the intersection of two pointed cones, sorted.
+
+    One double description, started from a and cut by the facets and
+    equations of b.  When a lies in b no ray of a violates a constraint of b,
+    so the answer is the rays of a without any combination step.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient mismatch")
-    constraints: list[Vec] = []
-    for c in (a, b):
-        eqs, facets = c.h_representation
-        constraints.extend(facets)
-        for e in eqs:
-            constraints.append(e)
-            constraints.append(tuple(-x for x in e))
-    return halfspace_intersection(constraints, a.ambient_rank)[1]
+    eqs, facets = b.h_representation
+    constraints = list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
+    return halfspace_intersection(constraints, a.ambient_rank, start=a)[1]
 
 
 def minimal_face_containing(c: Cone, v: Sequence) -> tuple[Vec, ...]:
@@ -284,29 +311,33 @@ class FanDiagnostics:
 
 
 def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Check the two fan axioms; diagnostics are values, not exceptions."""
-    problems = []
+    """Check the two fan axioms; diagnostics are values, not exceptions.
+
+    One intersection per pair of maximal cones decides both axioms: a cone
+    lies in another exactly when their intersection is the cone itself, and
+    two cones meet properly when the intersection is a face of each.
+    Containment problems come first, over ordered pairs.
+    """
     mc = fan.maximal_cones
-    for i, c in enumerate(mc):
-        for j, d in enumerate(mc):
-            if i != j and cone_contains_all(d, c.rays):
-                problems.append(
-                    f"cone {i} with rays {c.rays} is contained in cone {j}")
+    contained = []
+    improper = []
     for i in range(len(mc)):
         for j in range(i + 1, len(mc)):
             a, b = mc[i], mc[j]
-            rays = intersect_cones(a, b)
-            if rays:
-                probe = tuple(sum(col) for col in zip(*rays))
+            want = tuple(intersect_cones(a, b))
+            contained += [(x, y) for x, y in ((i, j), (j, i)) if mc[x].rays == want]
+            if want:
+                probe = tuple(sum(col) for col in zip(*want))
             else:
                 probe = (0,) * fan.ambient_rank
             fa = minimal_face_containing(a, probe)
             fb = minimal_face_containing(b, probe)
-            want = tuple(sorted(rays))
             if fa != want or fb != want:
-                problems.append(
+                improper.append(
                     f"cones {i} and {j} do not meet along a common face "
                     f"(intersection rays {want})")
+    problems = [f"cone {i} with rays {mc[i].rays} is contained in cone {j}"
+                for i, j in sorted(contained)] + improper
     return FanDiagnostics(valid=not problems, problems=tuple(problems))
 
 

@@ -43,6 +43,7 @@ from stackyfans.polyhedral import (
     halfspace_intersection,
     is_unstable,
     maximal_among,
+    minimal_face_containing,
     monoid_iso_on_cone,
     primitive,
     validate_fan,
@@ -54,6 +55,7 @@ from stackyfans.zlinalg import (
     determinant,
     normalized_group,
     rank,
+    row_rank,
     saturate,
     snf,
     solve_integer,
@@ -321,6 +323,93 @@ def _preimage_all_cones(m, fan, target):
     inside = {r for r in fan_rays(fan) if cone_contains(target, m.apply(r))}
     maximal = maximal_among([c for c in all_cones(fan) if inside.issuperset(c.rays)])
     return maximal[0] if len(maximal) == 1 else None
+
+
+def _dd_rank_pruned(normals, dim):
+    """Reference double description: restart from Z^dim, prune by rank.
+
+    Adds one halfspace at a time, combines every (+, -) pair of rays, and
+    keeps a ray when its active constraints have rank dim - dim(lineality) - 1.
+    """
+    lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    seen = []
+    for raw in normals:
+        a = tuple(int(x) for x in raw)
+        if all(x == 0 for x in a):
+            continue
+        products = [(_dot(a, l), l) for l in lineality]
+        pivots = [(s, l) for s, l in products if s != 0]
+        if pivots:
+            s0, l0 = pivots[0]
+            if s0 < 0:
+                s0, l0 = -s0, tuple(-x for x in l0)
+            new_lin = []
+            for s, l in products:
+                if l == pivots[0][1]:
+                    continue
+                if s == 0:
+                    new_lin.append(l)
+                else:
+                    w = primitive(tuple(s0 * x - s * y for x, y in zip(l, l0)))
+                    if w is not None:
+                        new_lin.append(w)
+            projected = []
+            for r in rays:
+                t = _dot(a, r)
+                w = primitive(tuple(s0 * x - t * y for x, y in zip(r, l0)))
+                if w is not None:
+                    projected.append(w)
+            rays = projected + [l0]
+            lineality = new_lin
+        else:
+            plus, zero, minus = [], [], []
+            for r in rays:
+                t = _dot(a, r)
+                (plus if t > 0 else zero if t == 0 else minus).append((t, r))
+            kept = [r for _, r in plus] + [r for _, r in zero]
+            for tp, p in plus:
+                for tm, m in minus:
+                    w = primitive(tuple(tp * x - tm * y for x, y in zip(m, p)))
+                    if w is not None:
+                        kept.append(w)
+            rays = kept
+        seen.append(a)
+        target = dim - len(lineality) - 1
+        rays = [r for r in dict.fromkeys(rays)
+                if row_rank([c for c in seen if _dot(c, r) == 0]) == target]
+    return lineality, sorted(rays)
+
+
+def _dd_constraints(c):
+    eqs, facets = c.h_representation
+    return list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
+
+
+def _intersect_from_zn(a, b):
+    """Reference intersect_cones: one rank-pruned pass over both H-representations."""
+    return _dd_rank_pruned(_dd_constraints(a) + _dd_constraints(b), a.ambient_rank)[1]
+
+
+def _validate_fan_pairwise(fan):
+    """Reference validate_fan: a membership loop over ordered pairs for
+    containment, then the reference intersection of each unordered pair."""
+    problems = []
+    mc = fan.maximal_cones
+    for i, c in enumerate(mc):
+        for j, d in enumerate(mc):
+            if i != j and all(cone_contains(d, v) for v in c.rays):
+                problems.append(f"cone {i} with rays {c.rays} is contained in cone {j}")
+    for i in range(len(mc)):
+        for j in range(i + 1, len(mc)):
+            a, b = mc[i], mc[j]
+            rays = _intersect_from_zn(a, b)
+            probe = tuple(sum(col) for col in zip(*rays)) if rays else (0,) * fan.ambient_rank
+            want = tuple(rays)
+            if any(minimal_face_containing(c, probe) != want for c in (a, b)):
+                problems.append(f"cones {i} and {j} do not meet along a common face "
+                                f"(intersection rays {want})")
+    return tuple(problems)
 
 
 def suite_reduce_invariance(cases=500, seed=404):
