@@ -1,4 +1,4 @@
-"""Scaling sweep: fan validation and ``gms`` on families of growing fans.
+"""Scaling sweep: fan validation and the verdicts on families of growing fans.
 
 Run from the repository root (the test suite does not collect this file):
 
@@ -11,13 +11,19 @@ Families and sizes:
 * ``p1_cox``: Cox data of (P^1)^m, m = 3..6: 2^m orthant cones of m rays in
   Z^2m, beta sending e_2j and e_2j+1 to +e_j and -e_j of Z^m;
 * ``kgon``: the fantastack of the cone over the lattice k-gon, k = 7, 10,
-  16: one k-ray cone in Z^k, beta sending e_i to (1, i, i^2).
+  16: one k-ray cone in Z^k, beta sending e_i to (1, i, i^2);
+* ``p1_morphism``: the morphism from the ``p1_cox`` data to the toric
+  variety (P^1)^m, m = 3..6: Phi is the Cox beta, phi the identity of Z^m,
+  and the target fan has 2^m maximal cones out of 3^m.
 
-Two measurements per size:
+Two measurements per size, for the stacky fans:
 
 * ``validate``: load the maximal cones from their rays (as the CLI loader
   does) and run ``validate_fan``;
-* ``gms``: the in-process CLI call ``gms --input <file> --json``.
+* ``gms``: the in-process CLI call ``gms --input <file> --json``;
+
+and for the morphisms, the in-process CLI calls ``iso`` and ``gms-check``
+(each loads and validates both fans).  Every verdict must be "yes".
 
 Each measurement runs five times, or fewer once the runs of one size have
 taken 20 s (the slowest sizes before fan validation started from a known
@@ -64,6 +70,17 @@ def _p1_cox(m: int) -> dict:
             "target": {"rank": m, "torsion": []}, "beta_images": images}
 
 
+def _p1_morphism(m: int) -> dict:
+    source = _p1_cox(m)
+    cones = [[[s * x for x in _unit(m, j)] for j, s in enumerate(signs)]
+             for signs in itertools.product((1, -1), repeat=m)]
+    target = {"lattice_rank": m, "fan": {"maximal_cones": cones},
+              "target": {"rank": m, "torsion": []},
+              "beta_images": [_unit(m, j) for j in range(m)]}
+    return {"source": source, "target": target, "Phi_images": source["beta_images"],
+            "phi_images": [_unit(m, j) for j in range(m)]}
+
+
 def _kgon(k: int) -> dict:
     return {"lattice_rank": k, "fan": {"maximal_cones": [[_unit(k, i) for i in range(k)]]},
             "target": {"rank": 3, "torsion": []},
@@ -73,10 +90,13 @@ def _kgon(k: int) -> dict:
 REPEATS = 5
 BUDGET_S = 20.0
 
+STACKY_FAN = ("validate", "gms")
+MORPHISM = ("iso", "gms-check")
 FAMILIES = {
-    "orthant": (_orthant, (8, 12, 18, 24)),
-    "p1_cox": (_p1_cox, (3, 4, 5, 6)),
-    "kgon": (_kgon, (7, 10, 16)),
+    "orthant": (_orthant, (8, 12, 18, 24), STACKY_FAN),
+    "p1_cox": (_p1_cox, (3, 4, 5, 6), STACKY_FAN),
+    "kgon": (_kgon, (7, 10, 16), STACKY_FAN),
+    "p1_morphism": (_p1_morphism, (3, 4, 5, 6), MORPHISM),
 }
 
 
@@ -97,11 +117,17 @@ def _validate(doc: dict, path: Path) -> None:
         raise SystemExit(f"{path}: the fan does not validate")
 
 
-def _gms(doc: dict, path: Path) -> None:
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.run_command(["gms", "--input", str(path), "--json"])
-    if code != 0 or not json.loads(out.getvalue())["verdict"]:
-        raise SystemExit(f"{path}: gms failed (exit {code})")
+def _verdict(command: str):
+    def task(doc: dict, path: Path) -> None:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.run_command([command, "--input", str(path), "--json"])
+        if code != 0 or not json.loads(out.getvalue())["verdict"]:
+            raise SystemExit(f"{path}: {command} failed (exit {code})")
+    return task
+
+
+TASKS = {"validate": _validate, "gms": _verdict("gms"), "iso": _verdict("iso"),
+         "gms-check": _verdict("gms-check")}
 
 
 def _measure(task, doc: dict, path: Path) -> dict:
@@ -134,18 +160,18 @@ def main(argv=None) -> int:
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "budget_s": BUDGET_S, "families": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for family, (build, sizes) in FAMILIES.items():
+        for family, (build, sizes, tasks) in FAMILIES.items():
             rows = report["families"][family] = []
             for size in sizes:
                 doc = build(size)
                 path = Path(tmp) / f"{family}_{size}.json"
                 path.write_text(json.dumps(doc), encoding="utf-8")
                 row = {"size": size}
-                for name, task in (("validate", _validate), ("gms", _gms)):
-                    row[name] = _measure(task, doc, path)
+                for name in tasks:
+                    row[name] = _measure(TASKS[name], doc, path)
                 rows.append(row)
-                print(f"{family} {size}: validate {row['validate']['median_s']:.4f} s, "
-                      f"gms {row['gms']['median_s']:.4f} s", file=sys.stderr)
+                print(f"{family} {size}: " + ", ".join(
+                    f"{name} {row[name]['median_s']:.4f} s" for name in tasks), file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -17,17 +17,19 @@ from .polyhedral import (
     Fan,
     NotStronglyConvex,
     PreconditionViolated,
-    all_cones,
+    _size_order,
     canonicalize_cone,
     cone_contains,
+    faces,
     fan_rays,
     is_smooth_cone,
     is_unstable,
+    maps_onto,
     maximal_among,
+    maximal_unstable_cones,
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
-    unstable_face,
 )
 from .stacky import (
     QuotientPresentation,
@@ -167,11 +169,15 @@ def _onto_preimage(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
     or when that element's image does not fill target.
     """
     sigma = preimage_fan(m, fan, target)
-    # the image lies in the pointed cone target, so it is pointed too
-    if sigma is None or canonicalize_cone(
-            [m.apply(r) for r in sigma.rays], target.ambient_rank) != target:
+    if sigma is None or not maps_onto(m, sigma, target):
         return None
     return sigma
+
+
+def _smallest_failing_face(cones: Sequence[Cone], fails) -> Cone:
+    """The first face in (number of rays, rays) order, over the given cones, that fails."""
+    return min((next(f for f in faces(c) if fails(f)) for c in cones),
+               key=lambda c: _size_order(c.rays))
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,14 @@ def is_isomorphism(m: StackyMorphism) -> IsoResult:
     1. phi is an isomorphism of the targets;
     2. every cone of the target fan has a unique maximal preimage cone
        mapping onto it;
-    3. that preimage maps isomorphically as a monoid (witness cone given).
+    3. that preimage maps isomorphically as a monoid.
+
+    The witness of 2 or 3 is the first failing target cone in (number of
+    rays, rays) order.  Failure is closed upward: if sigma is the unique
+    maximal preimage of sigma' and maps onto it, then Phi^-1(tau') ∩ sigma
+    is one for each face tau', and a monoid isomorphism restricts to one
+    on every face.  So the maximal cones decide, and the witness is the
+    smallest failing face of a failing maximal cone.
     """
     _require_valid_morphism(m)
     if not (has_finite_cokernel(m.source.beta) and has_finite_cokernel(m.target.beta)):
@@ -199,16 +212,20 @@ def is_isomorphism(m: StackyMorphism) -> IsoResult:
     # a surjection between isomorphic f.g. abelian groups is injective
     if not (is_surjective(m.phi) and m.phi.source == m.phi.target):
         return IsoResult(False, 1, None)
+
+    def preimage(sp: Cone) -> Optional[Cone]:
+        return _onto_preimage(m.Phi, m.source.fan, sp)
+
     # every cone must pass condition 2 before any is tested for condition 3
-    onto = []
-    for sp in all_cones(m.target.fan):
-        sigma = _onto_preimage(m.Phi, m.source.fan, sp)
-        if sigma is None:
-            return IsoResult(False, 2, sp)
-        onto.append((sigma, sp))
-    for sigma, sp in onto:
-        if not monoid_iso_on_cone(m.Phi, sigma, sp):
-            return IsoResult(False, 3, sp)
+    onto = [(preimage(sp), sp) for sp in m.target.fan.maximal_cones]
+    failing = [sp for sigma, sp in onto if sigma is None]
+    if failing:
+        return IsoResult(False, 2, _smallest_failing_face(
+            failing, lambda f: preimage(f) is None))
+    failing = [sp for sigma, sp in onto if not monoid_iso_on_cone(m.Phi, sigma, sp)]
+    if failing:
+        return IsoResult(False, 3, _smallest_failing_face(
+            failing, lambda f: not monoid_iso_on_cone(m.Phi, preimage(f), f)))
     return IsoResult(True, None, None)
 
 
@@ -231,27 +248,28 @@ def gms_check(m: StackyMorphism) -> GmsResult:
     2. tau is unstable for the source;
     3. phi is surjective;
     4. ker(phi) / beta(tau-span) is finite.
+
+    Condition 1 is closed upward (see :func:`is_isomorphism`): the zero
+    cone, checked first for tau, and the maximal cones decide it.
     """
     _require_valid_morphism(m)
     if not has_finite_cokernel(m.source.beta):
         raise PreconditionViolated("good moduli space check needs finite cokernel")
-    tau = None
-    for sp in all_cones(m.target.fan):
-        sigma = _onto_preimage(m.Phi, m.source.fan, sp)
-        if sigma is None:
-            return GmsResult(False, "1", tau, m.target.fan)
-        if not sp.rays:
-            tau = sigma
-    if tau is None:
-        # a fan with no cones at all; nothing to check
-        tau = Cone(m.source.lattice_rank, ())
+    fan = m.target.fan
+    # a fan with no cones at all has nothing to check
+    tau = Cone(m.source.lattice_rank, ())
+    if fan.maximal_cones:
+        tau = _onto_preimage(m.Phi, m.source.fan, Cone(fan.ambient_rank, ()))
+        if tau is None or any(_onto_preimage(m.Phi, m.source.fan, sp) is None
+                              for sp in fan.maximal_cones):
+            return GmsResult(False, "1", tau, fan)
     if not is_unstable(tau, m.source.beta):
-        return GmsResult(False, "2", tau, m.target.fan)
+        return GmsResult(False, "2", tau, fan)
     if not is_surjective(m.phi):
-        return GmsResult(False, "3", tau, m.target.fan)
+        return GmsResult(False, "3", tau, fan)
     if not _finite_kernel_mod_tau(m, tau):
-        return GmsResult(False, "4", tau, m.target.fan)
-    return GmsResult(True, None, tau, m.target.fan, m)
+        return GmsResult(False, "4", tau, fan)
+    return GmsResult(True, None, tau, fan, m)
 
 
 def _finite_kernel_mod_tau(m: StackyMorphism, tau: Cone) -> bool:
@@ -279,7 +297,7 @@ def gms_construct(sf: StackyFan) -> GmsResult:
     beta = sf.beta
     if not has_finite_cokernel(beta):
         raise PreconditionViolated("good moduli space construction needs finite cokernel")
-    maximal = maximal_among([unstable_face(c, beta) for c in sf.fan.maximal_cones])
+    maximal = maximal_unstable_cones(sf.fan, beta)
     if len(maximal) != 1:
         return GmsResult(False, "(i)", None, None)
     tau = maximal[0]
@@ -381,7 +399,9 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     ``zero_coordinates`` (1-based) must index the rays of a face of some
     maximal cone; the closed substack they cut out is a gerbe over the
     toric stack of the surviving coordinates, banded by the listed roots
-    plus ``bg_m_rank`` full torus gerbe factors.
+    plus ``bg_m_rank`` full torus gerbe factors.  That product form needs
+    the relations restricted to the zero coordinates to split by
+    coordinate; when they do not, PreconditionViolated is raised.
     """
     idx = _moduli_preconditions(sf)
     n = sf.lattice_rank
@@ -408,6 +428,19 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
                 for c in range(y.cols)]
         return IntMatrix.from_rows(rows, cols=n)
 
+    # R, the relations restricted to the zero coordinates, holds the sum of
+    # its pieces R ∩ Z·e_i = Z·g_i·e_i; the band splits into one factor per
+    # coordinate only when R is that sum, i.e. every relation's entry at i
+    # is a multiple of g_i
+    parts = []
+    for i in zset:
+        sub = vanishing_sub([z for z in zset if z != i])
+        parts.append((i, sub, math.gcd(*(row[i - 1] for row in sub.entries))))
+    if any(row[i - 1] % g if g else row[i - 1] for row in dual_rows for i, _, g in parts):
+        raise PreconditionViolated(
+            "the relations on the zero coordinates do not split by coordinate, "
+            "so the band is not a product of one group per coordinate")
+
     base_dual = vanishing_sub(zset)
     mrank = base_dual.rows
     base_cols = [tuple(base_dual.entries[k][j - 1] for k in range(mrank)) for j in comp]
@@ -426,15 +459,11 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
         [tuple(r[j - 1] for j in comp) for r in base_dual.entries], cols=len(comp))
     bg_m = 0
     roots = []
-    for i in zset:
-        sub = vanishing_sub([z for z in zset if z != i])
-        vals = [row[i - 1] for row in sub.entries]
-        g = 0
-        for x in vals:
-            g = math.gcd(g, x)
+    for i, sub, g in parts:
         if g == 0:
             bg_m += 1
             continue
+        vals = [row[i - 1] for row in sub.entries]
         y = solve_integer(IntMatrix.from_rows([vals]), [g])
         witness = tuple(sum(y[k] * sub.entries[k][j] for k in range(sub.rows))
                         for j in range(n))

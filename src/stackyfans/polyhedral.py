@@ -15,10 +15,11 @@ combinatorial adjacency test of Fukuda & Prodon 1996), which keeps the ray
 set exactly the extreme rays at every step with no rank computation.
 
 Derived structure lives on the immutable values and is computed once per
-value: a cone keeps its H-representation (equations and facet normals), and
-a fan keeps the list of all its cones.  Faces come from ray-facet
-incidences: the ray sets of the faces are the intersections of facet ray
-sets (Kaibel & Pfetsch 2002), so subsets of facets are never enumerated.
+value: a cone keeps its H-representation (equations and facet normals).
+A fan keeps only its maximal cones; no command walks every cone of a fan.
+Faces come from ray-facet incidences: the ray sets of the faces are the
+intersections of facet ray sets (Kaibel & Pfetsch 2002), so subsets of
+facets are never enumerated.
 Inputs stay modest (ambient rank up to about 20, a few dozen rays), so
 clarity wins over asymptotics throughout.
 """
@@ -31,7 +32,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .zlinalg import IntMatrix, Vec, determinant, saturate, snf, solve_integer
+from .zlinalg import IntMatrix, Vec, saturate, snf
 
 
 class NotStronglyConvex(Exception):
@@ -225,13 +226,15 @@ def faces(c: Cone) -> list[Cone]:
     return [Cone(c.ambient_rank, rs) for rs in sorted(found, key=_size_order)]
 
 
+def _extends_to_basis(m: IntMatrix) -> bool:
+    """Do the columns of m extend to a lattice basis (full rank, invariant factors 1)?"""
+    factors = snf(m).invariant_factors
+    return len(factors) == m.cols and all(f == 1 for f in factors)
+
+
 def is_smooth_cone(c: Cone) -> bool:
     """Rays extend to a basis of the ambient lattice."""
-    if not c.rays:
-        return True
-    m = IntMatrix.from_columns(c.rays, rows=c.ambient_rank)
-    factors = snf(m).invariant_factors
-    return len(factors) == len(c.rays) and all(f == 1 for f in factors)
+    return _extends_to_basis(IntMatrix.from_columns(c.rays, rows=c.ambient_rank))
 
 
 def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
@@ -273,20 +276,6 @@ class Fan:
         object.__setattr__(
             self, "maximal_cones",
             tuple(sorted(self.maximal_cones, key=lambda c: _size_order(c.rays))))
-
-    @cached_property
-    def cones(self) -> tuple[Cone, ...]:
-        """Every cone (all faces of all maximal cones), computed once per fan."""
-        seen = {}
-        for c in self.maximal_cones:
-            for f in faces(c):
-                seen.setdefault(f.rays, f)
-        return tuple(seen[k] for k in sorted(seen, key=_size_order))
-
-
-def all_cones(fan: Fan) -> list[Cone]:
-    """Every cone of the fan, deduplicated, ordered by (number of rays, rays)."""
-    return list(fan.cones)
 
 
 def maximal_among(cones: Sequence[Cone]) -> list[Cone]:
@@ -372,33 +361,31 @@ def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
     return None
 
 
+def maps_onto(m: IntMatrix, sigma: Cone, target: Cone) -> bool:
+    """Given that m maps sigma into the pointed cone target, is the image all of target?
+
+    An extreme ray of target inside the image cone is extreme there too, so
+    the image fills target exactly when it reaches every ray of target.
+    """
+    return set(target.rays) <= {primitive(m.apply(r)) for r in sigma.rays}
+
+
 def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
     """Does m restrict to an isomorphism of cone monoids sigma -> sigma'?
 
     Precondition: m maps sigma into sigma'.  True exactly when the image
     cone fills sigma' and m is a bijection between the lattice spans; for
     saturated monoids of pointed cones that forces a monoid isomorphism.
+    Once the image fills sigma', m maps span sigma onto span sigma', so with
+    S a basis of span sigma ∩ N the bijection is one Smith form: m·S has
+    full column rank and its columns extend to a lattice basis.
     """
-    imgs = [m.apply(r) for r in sigma.rays]
-    if not all(cone_contains(sigma_prime, w) for w in imgs):
+    if not all(cone_contains(sigma_prime, m.apply(r)) for r in sigma.rays):
         raise PreconditionViolated("cone does not map into the target cone")
-    # the image lies in the pointed cone sigma', so it is pointed too
-    if canonicalize_cone(imgs, sigma_prime.ambient_rank) != sigma_prime:
+    if not maps_onto(m, sigma, sigma_prime):
         return False
-    span = saturate(IntMatrix.from_columns(list(sigma.rays) or [], rows=sigma.ambient_rank))
-    span_p = saturate(IntMatrix.from_columns(list(sigma_prime.rays) or [],
-                                             rows=sigma_prime.ambient_rank))
-    moved = m @ span
-    cols = []
-    for c in moved.columns():
-        x = solve_integer(span_p, c)
-        if x is None:
-            return False
-        cols.append(x)
-    x = IntMatrix.from_columns(cols, rows=span_p.cols)
-    if x.rows != x.cols:
-        return False
-    return abs(determinant(x)) == 1
+    span = saturate(IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank))
+    return _extends_to_basis(m @ span)
 
 
 def unstable_face(sigma: Cone, beta) -> Cone:
@@ -421,3 +408,9 @@ def unstable_face(sigma: Cone, beta) -> Cone:
 def is_unstable(tau: Cone, beta) -> bool:
     """Is the image of tau under beta a linear subspace?"""
     return unstable_face(tau, beta) == tau
+
+
+def maximal_unstable_cones(fan: Fan, beta) -> list[Cone]:
+    """The maximal unstable cones: every unstable cone is a face of a maximal
+    cone sigma with subspace image, so it lies in unstable_face(sigma)."""
+    return maximal_among([unstable_face(c, beta) for c in fan.maximal_cones])

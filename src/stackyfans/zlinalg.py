@@ -240,31 +240,6 @@ def rank(m: IntMatrix) -> int:
     return row_rank(m.entries)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant +-1."""
     d = snf(m)

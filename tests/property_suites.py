@@ -15,6 +15,9 @@ from itertools import combinations, product
 
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
+    GmsResult,
+    IsoResult,
+    _finite_kernel_mod_tau,
     canonical_stack,
     fantastack,
     gms_check,
@@ -24,9 +27,11 @@ from stackyfans.constructions import (
 from stackyfans.fgab import (
     FgAbHom,
     free_group,
+    has_finite_cokernel,
     identity_hom,
     induced_g0_hom,
     induced_g1_hom,
+    is_surjective,
     verify_exact,
 )
 from stackyfans.polyhedral import (
@@ -35,7 +40,6 @@ from stackyfans.polyhedral import (
     NotStronglyConvex,
     PreconditionViolated,
     _h_representation,
-    all_cones,
     canonicalize_cone,
     cone_contains,
     faces,
@@ -45,14 +49,14 @@ from stackyfans.polyhedral import (
     maximal_among,
     minimal_face_containing,
     monoid_iso_on_cone,
+    preimage_fan,
     primitive,
     validate_fan,
 )
-from stackyfans.stacky import StackyFan, StackyMorphism, gbeta, reduce_nonstrict
+from stackyfans.stacky import StackyFan, StackyMorphism, gbeta, reduce_nonstrict, validate_morphism
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
-    determinant,
     normalized_group,
     rank,
     row_rank,
@@ -71,6 +75,31 @@ def _rand_matrix(rng, rows, cols, bound=10):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def determinant(m):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +347,105 @@ def _random_polyhedral_stacky_fan(rng):
     return StackyFan(fan, target, tuple(images))
 
 
+def _all_cones(fan):
+    """Every cone of the fan, deduplicated, ordered by (number of rays, rays)."""
+    seen = {f.rays: f for c in fan.maximal_cones for f in faces(c)}
+    return [seen[k] for k in sorted(seen, key=lambda rays: (len(rays), rays))]
+
+
 def _preimage_all_cones(m, fan, target):
     """Reference preimage_fan: filter every cone by the rays mapping into target."""
     inside = {r for r in fan_rays(fan) if cone_contains(target, m.apply(r))}
-    maximal = maximal_among([c for c in all_cones(fan) if inside.issuperset(c.rays)])
+    maximal = maximal_among([c for c in _all_cones(fan) if inside.issuperset(c.rays)])
     return maximal[0] if len(maximal) == 1 else None
+
+
+def _onto_preimage_canonical(m, fan, target):
+    """Reference onto-preimage: canonicalize the image of the preimage cone."""
+    sigma = preimage_fan(m, fan, target)
+    if sigma is None or canonicalize_cone(
+            [m.apply(r) for r in sigma.rays], target.ambient_rank) != target:
+        return None
+    return sigma
+
+
+def _monoid_iso_solving(m, sigma, sigma_prime):
+    """Reference monoid_iso_on_cone: canonicalize the image, then write m on
+    a basis of span sigma ∩ N in a basis of span sigma' ∩ N and ask for a
+    square matrix of determinant +-1."""
+    imgs = [m.apply(r) for r in sigma.rays]
+    if not all(cone_contains(sigma_prime, w) for w in imgs):
+        raise PreconditionViolated("cone does not map into the target cone")
+    if canonicalize_cone(imgs, sigma_prime.ambient_rank) != sigma_prime:
+        return False
+    span = saturate(IntMatrix.from_columns(list(sigma.rays), rows=sigma.ambient_rank))
+    span_p = saturate(IntMatrix.from_columns(list(sigma_prime.rays),
+                                             rows=sigma_prime.ambient_rank))
+    cols = []
+    for c in (m @ span).columns():
+        x = solve_integer(span_p, c)
+        if x is None:
+            return False
+        cols.append(x)
+    x = IntMatrix.from_columns(cols, rows=span_p.cols)
+    return x.rows == x.cols and abs(determinant(x)) == 1
+
+
+def _require_valid(m):
+    diag = validate_morphism(m)
+    if not diag.valid:
+        raise PreconditionViolated("not a morphism of stacky fans: " + "; ".join(diag.problems))
+
+
+def _is_isomorphism_all_cones(m):
+    """Reference is_isomorphism: conditions 2 and 3 on every target cone,
+    reporting the first failing cone in (number of rays, rays) order."""
+    _require_valid(m)
+    if not (has_finite_cokernel(m.source.beta) and has_finite_cokernel(m.target.beta)):
+        raise PreconditionViolated("isomorphism test needs finite cokernels on both sides")
+    if not (is_surjective(m.phi) and m.phi.source == m.phi.target):
+        return IsoResult(False, 1, None)
+    onto = []
+    for sp in _all_cones(m.target.fan):
+        sigma = _onto_preimage_canonical(m.Phi, m.source.fan, sp)
+        if sigma is None:
+            return IsoResult(False, 2, sp)
+        onto.append((sigma, sp))
+    for sigma, sp in onto:
+        if not _monoid_iso_solving(m.Phi, sigma, sp):
+            return IsoResult(False, 3, sp)
+    return IsoResult(True, None, None)
+
+
+def _gms_check_all_cones(m):
+    """Reference gms_check: condition 1 on every target cone, in order."""
+    _require_valid(m)
+    if not has_finite_cokernel(m.source.beta):
+        raise PreconditionViolated("good moduli space check needs finite cokernel")
+    tau = None
+    for sp in _all_cones(m.target.fan):
+        sigma = _onto_preimage_canonical(m.Phi, m.source.fan, sp)
+        if sigma is None:
+            return GmsResult(False, "1", tau, m.target.fan)
+        if not sp.rays:
+            tau = sigma
+    if tau is None:
+        tau = Cone(m.source.lattice_rank, ())
+    if not is_unstable(tau, m.source.beta):
+        return GmsResult(False, "2", tau, m.target.fan)
+    if not is_surjective(m.phi):
+        return GmsResult(False, "3", tau, m.target.fan)
+    if not _finite_kernel_mod_tau(m, tau):
+        return GmsResult(False, "4", tau, m.target.fan)
+    return GmsResult(True, None, tau, m.target.fan, m)
+
+
+def _unstable_all_cones(sf):
+    """Reference unstable listing: every unstable cone in (number of rays,
+    rays) order, and the unique maximal one or None."""
+    unstable = [c for c in _all_cones(sf.fan) if is_unstable(c, sf.beta)]
+    maximal = maximal_among(unstable)
+    return unstable, (maximal[0] if len(maximal) == 1 else None)
 
 
 def _dd_rank_pruned(normals, dim):
@@ -542,6 +665,68 @@ def _twist_morphism(m, rng):
     return StackyMorphism(src, tgt, m.Phi @ uinv,
                           FgAbHom(m.source.target, tgt.target,
                                   w @ m.phi.matrix))
+
+
+def _drop_source_cone(m, rng):
+    """Replace one maximal source cone of m by some of its proper faces.
+
+    The source stays a fan and the morphism stays valid, but the target
+    cones it mapped onto can lose their preimage: a deliberate condition-2
+    failure, whose smallest failing cone need not be maximal.
+    """
+    cones = list(m.source.fan.maximal_cones)
+    gone = cones.pop(rng.randrange(len(cones)))
+    kept = [f for f in faces(gone)[:-1] if rng.random() < 0.4]
+    fan = Fan(m.source.lattice_rank, tuple(maximal_among(cones + kept)))
+    return StackyMorphism(StackyFan(fan, m.source.target, m.source.beta_images),
+                          m.target, m.Phi, m.phi)
+
+
+def _verdict_morphisms(rng, cases):
+    """(kind, morphism) pairs for checking iso and gms-check verdicts.
+
+    Kinds: twisted members of the pool; products of two or three (twisted)
+    members; canonical morphisms of random fans (often singular or not
+    simplicial, so condition 3 fails) with beta random or the identity;
+    those with a source cone dropped, some of them twisted; and one random
+    cone with random beta over the point, for the later gms-check
+    conditions.
+    """
+    pool = _morphism_pool()
+    point_sf = StackyFan(Fan(0, (Cone(0, ()),)), free_group(0), ())
+    out = []
+    while len(out) < cases:
+        kind = rng.choice(("twist", "product", "canonical", "dropped", "to_point"))
+        if kind == "to_point":
+            sf = _random_polyhedral_stacky_fan(rng)
+            sf = StackyFan(Fan(sf.lattice_rank, sf.fan.maximal_cones[-1:]), sf.target,
+                           sf.beta_images)
+            if not has_finite_cokernel(sf.beta):
+                continue
+            m = StackyMorphism(sf, point_sf, IntMatrix(0, sf.lattice_rank, ()),
+                               FgAbHom(sf.target, free_group(0), IntMatrix(0, sf.target.ngens, ())))
+        elif kind == "twist":
+            m = _twist_morphism(rng.choice(pool), rng)
+        elif kind == "product":
+            m = rng.choice(pool)
+            for _ in range(rng.randint(1, 2)):
+                m = _product_morphism(m, rng.choice(pool))
+            if rng.random() < 0.6:
+                m = _twist_morphism(m, rng)
+        else:
+            sf = (_random_stacky_fan if rng.random() < 0.5 else _random_polyhedral_stacky_fan)(rng)
+            if rng.random() < 0.4:
+                n = sf.lattice_rank
+                sf = StackyFan(sf.fan, free_group(n), tuple(IntMatrix.identity(n).columns()))
+            if not has_finite_cokernel(sf.beta):
+                continue
+            m = canonical_stack(sf).morphism
+            if kind == "dropped" and m.source.fan.maximal_cones:
+                m = _drop_source_cone(m, rng)
+            if not m.target.target.torsion and rng.random() < 0.5:
+                m = _twist_morphism(m, rng)
+        out.append((kind, m))
+    return out
 
 
 def suite_product_verdicts(cases=500, seed=505):

@@ -2,12 +2,15 @@
 
 import json
 import pathlib
+import random
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from stackyfans.cli import run_command
+from property_suites import _random_polyhedral_stacky_fan, _random_stacky_fan, _unstable_all_cones
+from stackyfans.cli import _COMMANDS, MAX_RANK, _sf_json, run_command
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -160,3 +163,100 @@ def test_gms_condition_ii_reports_no_fan(capsys):
     assert (code, err) == (0, "")
     assert out == ('{"verdict":false,"failing_condition":"(ii)","tau":[],"gms":null,'
                    '"Phi_images":null,"phi_images":null}\n')
+
+
+def _shuffled(doc, rng):
+    """doc with the cones of every fan, and the rays inside each cone, shuffled."""
+    if not isinstance(doc, dict):
+        return doc
+    out = {k: _shuffled(v, rng) for k, v in doc.items()}
+    cones = out.get("maximal_cones")
+    if isinstance(cones, list):
+        cones = [rng.sample(c, len(c)) if isinstance(c, list) else c for c in cones]
+        out["maximal_cones"] = rng.sample(cones, len(cones))
+    return out
+
+
+def _reports(capsys, path):
+    """Exit code, stdout and stderr of every command on one file, text and JSON."""
+    out = []
+    for cmd in _COMMANDS:
+        zeros = [(), ("--zeros", "1")] if cmd in ("present", "moduli", "gerbe") else [()]
+        for flags in [z + j for z in zeros for j in ((), ("--json",))]:
+            code, stdout, stderr = _run(capsys, cmd, "--input", path, *flags)
+            out.append((cmd, flags, code, stdout, stderr.replace(str(path), "INPUT")))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reports_do_not_depend_on_input_order(capsys, tmp_path, seed):
+    rng = random.Random(seed)
+    moved = 0
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(fixture.read_text())
+        shuffled = _shuffled(doc, rng)
+        moved += shuffled != doc
+        path = tmp_path / fixture.name
+        path.write_text(json.dumps(shuffled))
+        assert _reports(capsys, path) == _reports(capsys, fixture), fixture.name
+    assert moved >= 10
+
+
+def test_unstable_listing_matches_all_cones_reference(capsys, tmp_path):
+    rng = random.Random(37)
+    path = tmp_path / "sf.json"
+    several = 0
+    for i in range(400):
+        sf = (_random_stacky_fan if i % 2 else _random_polyhedral_stacky_fan)(rng)
+        path.write_text(json.dumps(_sf_json(sf)))
+        code, out, err = _run(capsys, "unstable", "--input", path, "--json")
+        assert code == 0, err
+        unstable, tau = _unstable_all_cones(sf)
+        assert json.loads(out) == {
+            "unstable_cones": [[list(r) for r in c.rays] for c in unstable],
+            "unique_maximal": tau is not None,
+            "tau": [list(r) for r in tau.rays] if tau is not None else None}, sf
+        several += tau is None
+    assert several >= 20
+
+
+@pytest.mark.parametrize("images", [[[2, 2], [2, -3], [4, 4]], [[-4], [-1], [-1]]])
+def test_gerbe_refuses_relations_that_do_not_split(capsys, tmp_path, images):
+    # the full cone of A^3 with zeros 1,2: the stabilizer has order 10 in the
+    # first case and rank 1 in the second, which no band with one factor per
+    # coordinate describes
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps({
+        "lattice_rank": 3, "fan": {"maximal_cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+        "target": {"rank": len(images[0]), "torsion": []}, "beta_images": images}))
+    code, out, err = _run(capsys, "gerbe", "--input", path, "--zeros", "1,2")
+    assert (code, out) == (2, "")
+    assert "PreconditionViolated" in err
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the request did not fail fast")
+
+
+HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("unstable", {"lattice_rank": 0, "fan": {"maximal_cones": [[]]},
+                  "target": {"rank": HUGE, "torsion": []}, "beta_images": []}),
+    ("gms", {"lattice_rank": 0, "fan": {"maximal_cones": [[]]},
+             "target": {"rank": HUGE, "torsion": []}, "beta_images": []}),
+    ("cox", {"lattice_rank": HUGE, "fan": {"maximal_cones": [[]]}}),
+])
+def test_huge_rank_fields_fail_fast(capsys, tmp_path, command, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(2)
+    try:
+        code, out, err = _run(capsys, command, "--input", path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert f"exceeds the limit {MAX_RANK}" in err

@@ -2,22 +2,28 @@
 good-moduli-space decisions, and the functor-of-points readings."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from property_suites import (
+    _all_cones,
+    _cone_pool,
+    _gms_check_all_cones,
     _in_generated_cone,
+    _is_isomorphism_all_cones,
+    _onto_preimage_canonical,
     _preimage_all_cones,
     _random_polyhedral_stacky_fan,
     _random_stacky_fan,
     _unstable_per_ray,
+    _verdict_morphisms,
 )
-from stackyfans import polyhedral
+from stackyfans import constructions, polyhedral
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
     GmsResult,
     NotSmooth,
-    _onto_preimage,
     canonical_stack,
     cox_presentation,
     fantastack,
@@ -33,7 +39,6 @@ from stackyfans.polyhedral import (
     Fan,
     NotStronglyConvex,
     PreconditionViolated,
-    all_cones,
     canonicalize_cone,
     cone_contains,
     cone_contains_all,
@@ -41,6 +46,7 @@ from stackyfans.polyhedral import (
     is_unstable,
     maximal_among,
     maps_into_fan,
+    monoid_iso_on_cone,
 )
 from stackyfans.stacky import StackyFan, StackyMorphism
 from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate
@@ -317,7 +323,7 @@ def _reference_gms(sf):
     the unstable cones have no unique maximal element.
     """
     beta = sf.beta
-    maximal = maximal_among([c for c in all_cones(sf.fan) if is_unstable(c, beta)])
+    maximal = maximal_among([c for c in _all_cones(sf.fan) if is_unstable(c, beta)])
     if len(maximal) != 1:
         return None
     tspan = saturate(IntMatrix.from_columns(list(maximal[0].rays), rows=sf.lattice_rank))
@@ -326,18 +332,18 @@ def _reference_gms(sf):
         saturate((beta_mat @ tspan).hstack(sf.target.relations())))
     big_phi = proj @ beta_mat
     kept = []
-    for c in all_cones(sf.fan):
+    for c in _all_cones(sf.fan):
         try:
             cand = canonicalize_cone([big_phi.apply(r) for r in c.rays],
                                      ambient_rank=grp.free_rank)
         except NotStronglyConvex:
             continue
-        if cand not in kept and _onto_preimage(big_phi, sf.fan, cand) is not None:
+        if cand not in kept and _onto_preimage_canonical(big_phi, sf.fan, cand) is not None:
             kept.append(cand)
     fan = Fan(grp.free_rank, tuple(
         c for c in kept if not any(c != d and cone_contains_all(d, c.rays) for d in kept)))
     fits = all(any(all(cone_contains(tc, big_phi.apply(r)) for r in c.rays)
-                   for tc in all_cones(fan))
+                   for tc in _all_cones(fan))
                for c in sf.fan.maximal_cones)
     return fan, fits, len(kept)
 
@@ -376,7 +382,7 @@ def _gms_all_cones(sf):
     partial fan.
     """
     beta = sf.beta
-    maximal = maximal_among([c for c in all_cones(sf.fan) if _unstable_per_ray(c, beta)])
+    maximal = maximal_among([c for c in _all_cones(sf.fan) if _unstable_per_ray(c, beta)])
     if len(maximal) != 1:
         return GmsResult(False, "(i)", None, None)
     tau = maximal[0]
@@ -388,7 +394,7 @@ def _gms_all_cones(sf):
     big_phi = proj @ beta_mat
     rp = grp.free_rank
     candidates = {}
-    for c in all_cones(sf.fan):
+    for c in _all_cones(sf.fan):
         try:
             cand = canonicalize_cone([big_phi.apply(r) for r in c.rays], ambient_rank=rp)
         except NotStronglyConvex:
@@ -430,6 +436,44 @@ def test_gms_construct_matches_all_cones_reference():
     assert all(seen.get((c, big), 0) >= 20
                for c in (None, "(i)", "(ii)") for big in (False, True)), seen
     assert nonsimplicial >= 200
+
+
+def test_verdicts_match_all_cones_references():
+    # the references walk every target cone; the package reads the maximal
+    # ones and looks at faces only to name the witness of a failure
+    rng = random.Random(31)
+    seen = Counter()
+    for kind, m in _verdict_morphisms(rng, 600):
+        iso = is_isomorphism(m)
+        assert iso == _is_isomorphism_all_cones(m), (kind, m)
+        gms = gms_check(m)
+        assert gms == _gms_check_all_cones(m), (kind, m)
+        proper = iso.witness_cone is not None and iso.witness_cone not in m.target.fan.maximal_cones
+        seen[iso.failing_condition, proper] += 1
+        seen[gms.failing_condition] += 1
+    assert all(seen[k] >= 20 for k in ((None, False), (1, False), (2, False), (2, True),
+                                       (3, False), (3, True), None, "1", "2", "3")), seen
+    assert seen["4"] >= 1, seen
+
+
+def test_verdicts_on_success_read_only_the_maximal_cones(monkeypatch):
+    # the canonical morphism of (P^1)^3: 8 maximal target cones of 27
+    fan = Fan(3, tuple(_cone_pool(3, 2, ())))
+    m = canonical_stack(_sf(fan, free_group(3), IntMatrix.identity(3).columns())).morphism
+    tested = []
+
+    def counting(phi, sigma, sigma_prime):
+        tested.append(sigma_prime)
+        return monoid_iso_on_cone(phi, sigma, sigma_prime)
+
+    def no_faces(c):
+        raise AssertionError("a successful verdict walked the faces of a cone")
+
+    monkeypatch.setattr(constructions, "monoid_iso_on_cone", counting)
+    monkeypatch.setattr(constructions, "faces", no_faces)
+    assert is_isomorphism(m).verdict
+    assert tested == list(fan.maximal_cones)
+    assert gms_check(m).verdict
 
 
 def _kgon_fantastack(k):

@@ -12,11 +12,11 @@ from itertools import combinations
 
 import pytest
 
+from property_suites import determinant
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_presentation,
-    determinant,
     hermite_row_form,
     kernel_basis,
     normalized_group,
