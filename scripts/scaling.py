@@ -14,7 +14,13 @@ Families and sizes:
   16: one k-ray cone in Z^k, beta sending e_i to (1, i, i^2);
 * ``p1_morphism``: the morphism from the ``p1_cox`` data to the toric
   variety (P^1)^m, m = 3..6: Phi is the Cox beta, phi the identity of Z^m,
-  and the target fan has 2^m maximal cones out of 3^m.
+  and the target fan has 2^m maximal cones out of 3^m;
+* ``g1_tail``: seeded beta of rank l = 10, 14, 18 into Z^(l/3) + Z/d
+  (entries in [-99, 99], d from 45, 60, 210) over two orthant cones, the
+  shape of the larger ``group_algebra`` requests.  The size is (l, seed)
+  with seeds 0..7: the cost of one beta depends on its entries far more
+  than on l (at l = 18 these seeds range from 6 ms to 1.4 s), so each seed
+  is a row of its own and the slow ones show as the tail.
 
 Two measurements per size, for the stacky fans:
 
@@ -22,15 +28,19 @@ Two measurements per size, for the stacky fans:
   does) and run ``validate_fan``;
 * ``gms``: the in-process CLI call ``gms --input <file> --json``;
 
-and for the morphisms, the in-process CLI calls ``iso`` and ``gms-check``
-(each loads and validates both fans).  Every verdict must be "yes".
+for the morphisms, the in-process CLI calls ``iso`` and ``gms-check``
+(each loads and validates both fans), where every verdict must be "yes";
+and for ``g1_tail`` the in-process CLI call ``gbeta --input <file> --json``,
+which must exit 0.
 
 Each measurement runs five times, or fewer once the runs of one size have
 taken 20 s (the slowest sizes before fan validation started from a known
 cone took 40 s a run); every function cache of the package is cleared
 before each run.  The output records, per size, the median wall
-time, the number of runs and the number of ``halfspace_intersection`` calls
-of one run.
+time, the number of runs and, for one run, the number of calls of the
+family's counted functions: ``halfspace_intersection``, or for ``g1_tail``
+``hermite_row_form`` and ``unimodular_inverse`` (every binding in the
+package is counted).
 """
 
 from __future__ import annotations
@@ -41,13 +51,14 @@ import io
 import itertools
 import json
 import platform
+import random
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from stackyfans import cli, polyhedral
+from stackyfans import cli, polyhedral, zlinalg
 
 
 def _unit(n: int, i: int) -> list[int]:
@@ -87,16 +98,31 @@ def _kgon(k: int) -> dict:
             "beta_images": [[1, i, i * i] for i in range(k)]}
 
 
+def _g1_tail(size: tuple[int, int]) -> dict:
+    ell, seed = size
+    rng = random.Random(seed)
+    f = ell // 3
+    rows = [[rng.randint(-99, 99) for _ in range(ell)] for _ in range(f + 1)]
+    doc = _orthant(ell)
+    doc["target"] = {"rank": f, "torsion": [rng.choice((45, 60, 210))]}
+    doc["beta_images"] = [list(col) for col in zip(*rows)]
+    return doc
+
+
 REPEATS = 5
 BUDGET_S = 20.0
 
 STACKY_FAN = ("validate", "gms")
 MORPHISM = ("iso", "gms-check")
+DD = (polyhedral.halfspace_intersection,)
+HNF = (zlinalg.hermite_row_form, zlinalg.unimodular_inverse)
 FAMILIES = {
-    "orthant": (_orthant, (8, 12, 18, 24), STACKY_FAN),
-    "p1_cox": (_p1_cox, (3, 4, 5, 6), STACKY_FAN),
-    "kgon": (_kgon, (7, 10, 16), STACKY_FAN),
-    "p1_morphism": (_p1_morphism, (3, 4, 5, 6), MORPHISM),
+    "orthant": (_orthant, (8, 12, 18, 24), STACKY_FAN, DD),
+    "p1_cox": (_p1_cox, (3, 4, 5, 6), STACKY_FAN, DD),
+    "kgon": (_kgon, (7, 10, 16), STACKY_FAN, DD),
+    "p1_morphism": (_p1_morphism, (3, 4, 5, 6), MORPHISM, DD),
+    "g1_tail": (_g1_tail, [(ell, seed) for ell in (10, 14, 18) for seed in range(8)],
+                ("gbeta",), HNF),
 }
 
 
@@ -117,40 +143,57 @@ def _validate(doc: dict, path: Path) -> None:
         raise SystemExit(f"{path}: the fan does not validate")
 
 
-def _verdict(command: str):
+def _command(command: str, verdict: bool = True):
     def task(doc: dict, path: Path) -> None:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.run_command([command, "--input", str(path), "--json"])
-        if code != 0 or not json.loads(out.getvalue())["verdict"]:
+        if code != 0 or (verdict and not json.loads(out.getvalue())["verdict"]):
             raise SystemExit(f"{path}: {command} failed (exit {code})")
     return task
 
 
-TASKS = {"validate": _validate, "gms": _verdict("gms"), "iso": _verdict("iso"),
-         "gms-check": _verdict("gms-check")}
+TASKS = {"validate": _validate, "gms": _command("gms"), "iso": _command("iso"),
+         "gms-check": _command("gms-check"), "gbeta": _command("gbeta", verdict=False)}
 
 
-def _measure(task, doc: dict, path: Path) -> dict:
-    original = polyhedral.halfspace_intersection
-    calls = 0
+@contextlib.contextmanager
+def _counting(functions):
+    """Count calls of each function through every package binding of it."""
+    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    patched = []
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def wrap(fn):
+        def counting(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counting
 
-    times = []
+    for fn in functions:
+        counting = wrap(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stackyfans"):
+                for attr, obj in list(vars(module).items()):
+                    if obj is fn:
+                        patched.append((module, attr, obj))
+                        setattr(module, attr, counting)
     try:
-        while len(times) < REPEATS and sum(times) < BUDGET_S:
-            _clear_caches()
-            polyhedral.halfspace_intersection = counting if not times else original
+        yield calls
+    finally:
+        for module, attr, obj in patched:
+            setattr(module, attr, obj)
+
+
+def _measure(task, doc: dict, path: Path, counted) -> dict:
+    times, counts = [], {}
+    while len(times) < REPEATS and sum(times) < BUDGET_S:
+        _clear_caches()
+        with _counting(() if times else counted) as calls:
             t0 = time.perf_counter()
             task(doc, path)
             times.append(time.perf_counter() - t0)
-    finally:
-        polyhedral.halfspace_intersection = original
+        counts = counts or calls
     return {"median_s": statistics.median(times), "runs": len(times),
-            "halfspace_intersection_calls": calls}
+            **{f"{name}_calls": n for name, n in counts.items()}}
 
 
 def main(argv=None) -> int:
@@ -160,15 +203,15 @@ def main(argv=None) -> int:
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "budget_s": BUDGET_S, "families": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for family, (build, sizes, tasks) in FAMILIES.items():
+        for family, (build, sizes, tasks, counted) in FAMILIES.items():
             rows = report["families"][family] = []
-            for size in sizes:
+            for k, size in enumerate(sizes):
                 doc = build(size)
-                path = Path(tmp) / f"{family}_{size}.json"
+                path = Path(tmp) / f"{family}_{k}.json"
                 path.write_text(json.dumps(doc), encoding="utf-8")
                 row = {"size": size}
                 for name in tasks:
-                    row[name] = _measure(TASKS[name], doc, path)
+                    row[name] = _measure(TASKS[name], doc, path, counted)
                 rows.append(row)
                 print(f"{family} {size}: " + ", ".join(
                     f"{name} {row[name]['median_s']:.4f} s" for name in tasks), file=sys.stderr)

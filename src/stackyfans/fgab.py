@@ -16,9 +16,7 @@ The centerpiece is :func:`mapping_cone_dual`: for a homomorphism
     G_beta = ker(T_{free replacement} -> T_N)
 
 presented diagonally, i.e. the cokernel of the transposed strictification
-together with the weight matrix of the induced action on ``A^l``.  The
-functorial maps between such groups (:func:`induced_g1_hom`,
-:func:`induced_g0_hom`) make the comparison results testable.
+together with the weight matrix of the induced action on ``A^l``.
 """
 
 from __future__ import annotations
@@ -35,10 +33,7 @@ from .zlinalg import (
     cokernel_presentation,
     hermite_row_form,
     kernel_basis,
-    normalized_group,
     rank,
-    solve_integer,
-    unimodular_inverse,
 )
 
 __all__ = [
@@ -50,13 +45,9 @@ __all__ = [
     "has_finite_cokernel",
     "is_surjective",
     "group_name",
-    "verify_exact",
     "mapping_cone_dual",
-    "induced_g1_hom",
-    "induced_g0_hom",
     "identity_hom",
     "free_group",
-    "normalized_group",
 ]
 
 
@@ -133,29 +124,6 @@ def is_surjective(f: FgAbHom) -> bool:
     return cokernel_presentation(f.matrix.hstack(f.target.relations()))[0].is_trivial()
 
 
-def verify_exact(seq: Sequence[FgAbHom]) -> bool:
-    """Exactness at every interior junction of a composable sequence.
-
-    Injectivity or surjectivity at the ends is expressed by placing
-    explicit zero groups in the sequence.
-    """
-    homs = list(seq)
-    for a, b in zip(homs, homs[1:]):
-        if a.target != b.source:
-            raise MalformedHom("sequence is not composable")
-    for a, b in zip(homs, homs[1:]):
-        g = a.target
-        zero = (0,) * b.target.ngens
-        for c in a.matrix.columns():
-            if b.apply(c) != zero:
-                return False
-        rep = a.matrix.hstack(g.relations())
-        for k in _kernel_lattice(b).columns():
-            if solve_integer(rep, k) is None:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class DiagGroupPresentation:
     """Diagonalized presentation of a group acting on affine space.
@@ -216,41 +184,6 @@ def _unit_for_row(row: Vec, d: int) -> int:
     return u0
 
 
-def _normalizing_aut(group: FgAbGroup, block: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Automorphism A of the group with A @ block canonical, plus inverse.
-
-    Free rows go to the unique row Hermite form; each torsion row is scaled
-    by the unit from :func:`_unit_for_row`.  A and its inverse are returned
-    as ngens x ngens integer matrices in block-diagonal shape.
-    """
-    f = group.free_rank
-    ts = group.torsion
-    n = group.ngens
-    free_block = IntMatrix.from_rows([block.row(i) for i in range(f)], cols=block.cols)
-    _, t_free = hermite_row_form(free_block)
-    t_inv = unimodular_inverse(t_free)
-    a = [[0] * n for _ in range(n)]
-    ai = [[0] * n for _ in range(n)]
-    for i in range(f):
-        for j in range(f):
-            a[i][j] = t_free.entries[i][j]
-            ai[i][j] = t_inv.entries[i][j]
-    for j, d in enumerate(ts):
-        u = _unit_for_row(block.row(f + j), d)
-        a[f + j][f + j] = u
-        ai[f + j][f + j] = pow(u, -1, d)
-    return IntMatrix.from_rows(a, n), IntMatrix.from_rows(ai, n)
-
-
-def _reduce_rows(group: FgAbGroup, m: IntMatrix) -> IntMatrix:
-    """Reduce the torsion rows of a generator-coordinate matrix."""
-    f = group.free_rank
-    rows = list(m.entries)
-    for j, d in enumerate(group.torsion):
-        rows[f + j] = tuple(x % d for x in rows[f + j])
-    return IntMatrix.from_rows(rows, m.cols)
-
-
 def _strictification(beta: FgAbHom) -> IntMatrix:
     """The free replacement [B | Q] : Z^(l+s) -> Z^r of beta."""
     if beta.source.torsion:
@@ -260,13 +193,22 @@ def _strictification(beta: FgAbHom) -> IntMatrix:
 
 # bounded, so a process serving many requests keeps only the recent beta
 @lru_cache(maxsize=32)
-def _g1_data(beta: FgAbHom):
+def _g1_data(beta: FgAbHom) -> MappingConeDual:
     bt = _strictification(beta)
-    raw_group, raw_proj = cokernel_presentation(bt.transpose())
+    group, proj = cokernel_presentation(bt.transpose())
+    f = group.free_rank
     ell = beta.source.free_rank
-    weights_raw = raw_proj.submatrix(range(raw_group.ngens), range(ell))
-    aut, aut_inv = _normalizing_aut(raw_group, weights_raw)
-    return raw_group, raw_proj, aut, aut_inv, bt
+    raw = proj.submatrix(range(group.ngens), range(ell)).entries
+    # free rows: the row Hermite form of their lattice; torsion rows (already
+    # reduced mod d): the least unit multiple
+    free_rows, _ = hermite_row_form(IntMatrix.from_rows(raw[:f], cols=ell))
+    torsion_rows = []
+    for row, d in zip(raw[f:], group.torsion):
+        u = _unit_for_row(row, d)
+        torsion_rows.append(tuple(u * x % d for x in row))
+    weights = IntMatrix.from_rows(free_rows.entries + tuple(torsion_rows), cols=ell)
+    return MappingConeDual(g0_rank=beta.target.ngens - rank(bt),
+                           g1=DiagGroupPresentation(group, weights))
 
 
 def mapping_cone_dual(beta: FgAbHom) -> MappingConeDual:
@@ -276,107 +218,8 @@ def mapping_cone_dual(beta: FgAbHom) -> MappingConeDual:
     presentation of G^1: its character group is the cokernel of the
     transposed free replacement of beta, and the weight matrix restricts the
     cokernel projection to the first l coordinates.  Weights are normalized
-    (free rows in Hermite form, torsion rows scaled to their lexicographic
-    minimum among unit multiples).
+    by an automorphism of the character group: the free rows are replaced by
+    the row Hermite form of their row lattice, and each torsion row is
+    scaled to its lexicographic minimum among unit multiples.
     """
-    group, proj, aut, _, bt = _g1_data(beta)
-    ell = beta.source.free_rank
-    g0 = beta.target.ngens - rank(bt)
-    weights_raw = proj.submatrix(range(group.ngens), range(ell))
-    weights = _reduce_rows(group, aut @ weights_raw)
-    return MappingConeDual(g0_rank=g0, g1=DiagGroupPresentation(group, weights))
-
-
-def _section(proj: IntMatrix, group: FgAbGroup) -> IntMatrix:
-    """Right inverse of a surjection proj : Z^amb -> group, as columns."""
-    amb = proj.cols
-    aug = proj.hstack(group.relations())
-    cols = []
-    for k in range(group.ngens):
-        e = [1 if i == k else 0 for i in range(group.ngens)]
-        x = solve_integer(aug, e)
-        if x is None:
-            raise ValueError("projection is not surjective")
-        cols.append(x[:amb])
-    return IntMatrix.from_columns(cols, rows=amb)
-
-
-def _lifted_square(f: FgAbHom, g: FgAbHom, alpha: IntMatrix, b: FgAbHom):
-    """Strictify a commuting square (alpha, b) : f -> g.
-
-    Returns (bmat, alpha_tilde) with
-    strictification(g) @ alpha_tilde == bmat @ strictification(f) exactly.
-    """
-    if f.source.torsion or g.source.torsion:
-        raise MalformedHom("mapping cone functoriality needs free sources")
-    if b.source != f.target or b.target != g.target:
-        raise MalformedHom("vertical map has wrong endpoints")
-    lf, lg = f.source.free_rank, g.source.free_rank
-    if alpha.rows != lg or alpha.cols != lf:
-        raise MalformedHom("horizontal map has wrong shape")
-    for i in range(lf):
-        if g.apply(alpha.column(i)) != b.apply(f.matrix.column(i)):
-            raise MalformedHom("square does not commute")
-    sf, sg = len(f.target.torsion), len(g.target.torsion)
-    ftf, ftg = f.target.free_rank, g.target.free_rank
-    bmat = b.matrix
-    diff_cols = (bmat @ f.matrix).columns()
-    galpha_cols = (g.matrix @ alpha).columns()
-    at = [[0] * (lf + sf) for _ in range(lg + sg)]
-    for i in range(lg):
-        for j in range(lf):
-            at[i][j] = alpha.entries[i][j]
-    for i in range(lf):
-        diff = tuple(x - y for x, y in zip(diff_cols[i], galpha_cols[i]))
-        for k in range(ftg):
-            if diff[k] != 0:
-                raise MalformedHom("square does not commute on free part")
-        for k, d in enumerate(g.target.torsion):
-            q, r = divmod(diff[ftg + k], d)
-            if r != 0:
-                raise MalformedHom("square does not commute modulo torsion")
-            at[lg + k][i] = q
-    for j, dj in enumerate(f.target.torsion):
-        col = bmat.column(ftf + j)
-        for k, dk in enumerate(g.target.torsion):
-            q, r = divmod(dj * col[ftg + k], dk)
-            if r != 0:
-                raise MalformedHom("torsion image order mismatch")
-            at[lg + k][lf + j] = q
-    alpha_tilde = IntMatrix.from_rows(at, lf + sf)
-    if (_strictification(g) @ alpha_tilde).entries != (bmat @ _strictification(f)).entries:
-        raise MalformedHom("strictified square does not commute")
-    return bmat, alpha_tilde
-
-
-def induced_g1_hom(f: FgAbHom, g: FgAbHom, alpha: IntMatrix, b: FgAbHom) -> FgAbHom:
-    """The map G^1-characters(g) -> G^1-characters(f) a square induces.
-
-    (alpha, b) is a morphism of two-term complexes from f to g; dualizing
-    gives a map on degree-one cohomology in the opposite direction.  The
-    result is expressed in the same normalized generators that
-    :func:`mapping_cone_dual` publishes for each side.
-    """
-    bmat, alpha_tilde = _lifted_square(f, g, alpha, b)
-    gg, pg, aut_g, aut_g_inv, _ = _g1_data(g)
-    gf, pf, aut_f, aut_f_inv, _ = _g1_data(f)
-    sec = _section(pg, gg)
-    raw = pf @ (alpha_tilde.transpose() @ sec)
-    mat = _reduce_rows(gf, aut_f @ (_reduce_rows(gf, raw) @ aut_g_inv))
-    return FgAbHom(gg, gf, mat)
-
-
-def induced_g0_hom(f: FgAbHom, g: FgAbHom, alpha: IntMatrix, b: FgAbHom) -> FgAbHom:
-    """The map on degree-zero cohomology of the dual complexes (free groups)."""
-    bmat, _ = _lifted_square(f, g, alpha, b)
-    kg = kernel_basis(_strictification(g).transpose())
-    kf = kernel_basis(_strictification(f).transpose())
-    moved = bmat.transpose() @ kg
-    cols = []
-    for c in moved.columns():
-        x = solve_integer(kf, c)
-        if x is None:
-            raise ValueError("dual image left the kernel lattice")
-        cols.append(x)
-    mat = IntMatrix.from_columns(cols, rows=kf.cols)
-    return FgAbHom(free_group(kg.cols), free_group(kf.cols), mat)
+    return _g1_data(beta)

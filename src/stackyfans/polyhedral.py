@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .zlinalg import IntMatrix, Vec, saturate, snf
+from .zlinalg import IntMatrix, Vec, snf
 
 
 class NotStronglyConvex(Exception):
@@ -374,18 +374,27 @@ def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
     """Does m restrict to an isomorphism of cone monoids sigma -> sigma'?
 
     Precondition: m maps sigma into sigma'.  True exactly when the image
-    cone fills sigma' and m is a bijection between the lattice spans; for
-    saturated monoids of pointed cones that forces a monoid isomorphism.
-    Once the image fills sigma', m maps span sigma onto span sigma', so with
-    S a basis of span sigma ∩ N the bijection is one Smith form: m·S has
-    full column rank and its columns extend to a lattice basis.
+    cone fills sigma' and m is a bijection between the lattices
+    L = span sigma ∩ Z^n and L' = span sigma' ∩ Z^n'; for saturated monoids
+    of pointed cones that forces a monoid isomorphism.
+
+    Let R hold the rays of sigma as columns.  Once the image fills sigma',
+    m·R spans span sigma' rationally, so L and L' are the saturations of the
+    column lattices of R and m·R, of indices [L : ZR] and [L' : Z m·R], each
+    the product of the invariant factors.  m is injective on L exactly when
+    m·R has the rank of R, that is as many invariant factors.  Then
+    [L' : Z m·R] = [L' : m(L)] · [m(L) : m(ZR)] = [L' : m(L)] · [L : ZR],
+    so m(L) = L' exactly when the two products agree.  Two Smith forms of
+    the ray matrices, and no basis of L.
     """
     if not all(cone_contains(sigma_prime, m.apply(r)) for r in sigma.rays):
         raise PreconditionViolated("cone does not map into the target cone")
     if not maps_onto(m, sigma, sigma_prime):
         return False
-    span = saturate(IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank))
-    return _extends_to_basis(m @ span)
+    rays = IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank)
+    before = snf(rays).invariant_factors
+    after = snf(m @ rays).invariant_factors
+    return len(before) == len(after) and prod(before) == prod(after)
 
 
 def unstable_face(sigma: Cone, beta) -> Cone:

@@ -295,8 +295,7 @@ class FgAbGroup:
     """Finitely generated abelian group in invariant-factor form.
 
     ``Z^free_rank + Z/d_1 + ... + Z/d_t`` with each d_i >= 2 and
-    d_1 | d_2 | ... | d_t.  The constructor insists on that shape; use
-    :func:`normalized_group` to build one from arbitrary torsion numbers.
+    d_1 | d_2 | ... | d_t.  The constructor insists on that shape.
     """
 
     free_rank: int
@@ -338,20 +337,6 @@ class FgAbGroup:
         for j, d in enumerate(self.torsion):
             out[f + j] %= d
         return tuple(out)
-
-
-def normalized_group(free_rank: int, torsion_numbers: Sequence[int]) -> FgAbGroup:
-    """Invariant-factor form of Z^free_rank + sum Z/n for arbitrary n >= 1."""
-    ns = [int(n) for n in torsion_numbers]
-    if any(n < 1 for n in ns):
-        raise ValueError("torsion orders must be positive")
-    ns = [n for n in ns if n > 1]
-    if not ns:
-        return FgAbGroup(free_rank, ())
-    diag = IntMatrix.from_rows(
-        [[ns[i] if i == j else 0 for j in range(len(ns))] for i in range(len(ns))])
-    factors = snf(diag).invariant_factors
-    return FgAbGroup(free_rank, tuple(f for f in factors if f > 1))
 
 
 def cokernel_presentation(m: IntMatrix) -> tuple[FgAbGroup, IntMatrix]:

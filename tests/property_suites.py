@@ -9,6 +9,7 @@ seed and owns its Random instance.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -26,13 +27,15 @@ from stackyfans.constructions import (
 )
 from stackyfans.fgab import (
     FgAbHom,
+    MalformedHom,
+    _kernel_lattice,
+    _strictification,
+    _unit_for_row,
     free_group,
     has_finite_cokernel,
     identity_hom,
-    induced_g0_hom,
-    induced_g1_hom,
     is_surjective,
-    verify_exact,
+    mapping_cone_dual,
 )
 from stackyfans.polyhedral import (
     Cone,
@@ -57,7 +60,9 @@ from stackyfans.stacky import StackyFan, StackyMorphism, gbeta, reduce_nonstrict
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
-    normalized_group,
+    cokernel_presentation,
+    hermite_row_form,
+    kernel_basis,
     rank,
     row_rank,
     saturate,
@@ -100,6 +105,39 @@ def determinant(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def count_calls(monkeypatch, fn):
+    """Patch a counting wrapper into every stackyfans namespace binding fn.
+
+    Returns the list the wrapper appends one entry to per call.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "stackyfans" or name.startswith("stackyfans."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def normalized_group(free_rank, torsion_numbers):
+    """Invariant-factor form of Z^free_rank + sum Z/n for arbitrary n >= 1."""
+    ns = [int(n) for n in torsion_numbers]
+    if any(n < 1 for n in ns):
+        raise ValueError("torsion orders must be positive")
+    ns = [n for n in ns if n > 1]
+    if not ns:
+        return FgAbGroup(free_rank, ())
+    diag = IntMatrix.from_rows(
+        [[ns[i] if i == j else 0 for j in range(len(ns))] for i in range(len(ns))])
+    factors = snf(diag).invariant_factors
+    return FgAbGroup(free_rank, tuple(f for f in factors if f > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +261,173 @@ def suite_unstable_routes(cases=500, seed=202):
 # ---------------------------------------------------------------------------
 # 3. exactness of the two character-level sequences of a composition
 
+def verify_exact(seq):
+    """Exactness at every interior junction of a composable sequence.
+
+    Injectivity or surjectivity at the ends is expressed by placing
+    explicit zero groups in the sequence.
+    """
+    homs = list(seq)
+    for a, b in zip(homs, homs[1:]):
+        if a.target != b.source:
+            raise MalformedHom("sequence is not composable")
+    for a, b in zip(homs, homs[1:]):
+        g = a.target
+        zero = (0,) * b.target.ngens
+        for c in a.matrix.columns():
+            if b.apply(c) != zero:
+                return False
+        rep = a.matrix.hstack(g.relations())
+        for k in _kernel_lattice(b).columns():
+            if solve_integer(rep, k) is None:
+                return False
+    return True
+
+
+def _normalizing_aut(group, block):
+    """Automorphism A of the group with A @ block canonical.
+
+    The reference change of basis for the published weights: the row
+    Hermite transform on the free rows, and the unit from ``_unit_for_row``
+    on each torsion row, as an ngens x ngens block-diagonal matrix.
+    """
+    f = group.free_rank
+    n = group.ngens
+    free_block = IntMatrix.from_rows([block.row(i) for i in range(f)], cols=block.cols)
+    _, t_free = hermite_row_form(free_block)
+    a = [[0] * n for _ in range(n)]
+    for i in range(f):
+        a[i][:f] = t_free.entries[i]
+    for j, d in enumerate(group.torsion):
+        a[f + j][f + j] = _unit_for_row(block.row(f + j), d)
+    return IntMatrix.from_rows(a, n)
+
+
+def _reduce_rows(group, m):
+    """Reduce the torsion rows of a generator-coordinate matrix."""
+    f = group.free_rank
+    rows = list(m.entries)
+    for j, d in enumerate(group.torsion):
+        rows[f + j] = tuple(x % d for x in rows[f + j])
+    return IntMatrix.from_rows(rows, m.cols)
+
+
+def _reference_weights(beta):
+    """G^1 by the change of basis: A, then A·W, then reduce rows.
+
+    Returns the character group, the weights and the whole projection
+    Z^(l+s) -> X in the normalized generators (its first l columns are the
+    weights).
+    """
+    group, proj = cokernel_presentation(_strictification(beta).transpose())
+    weights_raw = proj.submatrix(range(group.ngens), range(beta.source.free_rank))
+    aut = _normalizing_aut(group, weights_raw)
+    return group, _reduce_rows(group, aut @ weights_raw), _reduce_rows(group, aut @ proj)
+
+
+def _section(proj, group):
+    """Right inverse of a surjection proj : Z^amb -> group, as columns."""
+    amb = proj.cols
+    aug = proj.hstack(group.relations())
+    cols = []
+    for k in range(group.ngens):
+        e = [1 if i == k else 0 for i in range(group.ngens)]
+        x = solve_integer(aug, e)
+        if x is None:
+            raise ValueError("projection is not surjective")
+        cols.append(x[:amb])
+    return IntMatrix.from_columns(cols, rows=amb)
+
+
+def _lifted_square(f, g, alpha, b):
+    """Strictify a commuting square (alpha, b) : f -> g.
+
+    Returns (bmat, alpha_tilde) with
+    strictification(g) @ alpha_tilde == bmat @ strictification(f) exactly.
+    """
+    if f.source.torsion or g.source.torsion:
+        raise MalformedHom("mapping cone functoriality needs free sources")
+    if b.source != f.target or b.target != g.target:
+        raise MalformedHom("vertical map has wrong endpoints")
+    lf, lg = f.source.free_rank, g.source.free_rank
+    if alpha.rows != lg or alpha.cols != lf:
+        raise MalformedHom("horizontal map has wrong shape")
+    for i in range(lf):
+        if g.apply(alpha.column(i)) != b.apply(f.matrix.column(i)):
+            raise MalformedHom("square does not commute")
+    sf, sg = len(f.target.torsion), len(g.target.torsion)
+    ftf, ftg = f.target.free_rank, g.target.free_rank
+    bmat = b.matrix
+    diff_cols = (bmat @ f.matrix).columns()
+    galpha_cols = (g.matrix @ alpha).columns()
+    at = [[0] * (lf + sf) for _ in range(lg + sg)]
+    for i in range(lg):
+        for j in range(lf):
+            at[i][j] = alpha.entries[i][j]
+    for i in range(lf):
+        diff = tuple(x - y for x, y in zip(diff_cols[i], galpha_cols[i]))
+        for k in range(ftg):
+            if diff[k] != 0:
+                raise MalformedHom("square does not commute on free part")
+        for k, d in enumerate(g.target.torsion):
+            q, r = divmod(diff[ftg + k], d)
+            if r != 0:
+                raise MalformedHom("square does not commute modulo torsion")
+            at[lg + k][i] = q
+    for j, dj in enumerate(f.target.torsion):
+        col = bmat.column(ftf + j)
+        for k, dk in enumerate(g.target.torsion):
+            q, r = divmod(dj * col[ftg + k], dk)
+            if r != 0:
+                raise MalformedHom("torsion image order mismatch")
+            at[lg + k][lf + j] = q
+    alpha_tilde = IntMatrix.from_rows(at, lf + sf)
+    if (_strictification(g) @ alpha_tilde).entries != (bmat @ _strictification(f)).entries:
+        raise MalformedHom("strictified square does not commute")
+    return bmat, alpha_tilde
+
+
+def _published_projection(beta):
+    """The character group of G^1 and the projection Z^(l+s) -> X in the
+    generators ``mapping_cone_dual`` publishes, checked against it."""
+    group, weights, proj = _reference_weights(beta)
+    published = mapping_cone_dual(beta).g1
+    if (published.group, published.weights) != (group, weights):
+        raise AssertionError(f"published G^1 of {beta.matrix.entries} is not A·W")
+    return group, proj
+
+
+def induced_g1_hom(f, g, alpha, b):
+    """The map G^1-characters(g) -> G^1-characters(f) a square induces.
+
+    (alpha, b) is a morphism of two-term complexes from f to g; dualizing
+    gives a map on degree-one cohomology in the opposite direction, here in
+    the generators that ``mapping_cone_dual`` publishes for each side.
+    """
+    _, alpha_tilde = _lifted_square(f, g, alpha, b)
+    gg, pg = _published_projection(g)
+    gf, pf = _published_projection(f)
+    return FgAbHom(gg, gf, pf @ (alpha_tilde.transpose() @ _section(pg, gg)))
+
+
+def induced_g0_hom(f, g, alpha, b):
+    """The map on degree-zero cohomology of the dual complexes (free groups)."""
+    bmat, _ = _lifted_square(f, g, alpha, b)
+    kg = kernel_basis(_strictification(g).transpose())
+    kf = kernel_basis(_strictification(f).transpose())
+    moved = bmat.transpose() @ kg
+    cols = []
+    for c in moved.columns():
+        x = solve_integer(kf, c)
+        if x is None:
+            raise ValueError("dual image left the kernel lattice")
+        cols.append(x)
+    mat = IntMatrix.from_columns(cols, rows=kf.cols)
+    return FgAbHom(free_group(kg.cols), free_group(kf.cols), mat)
+
+
 def _triangle_sequences(phi, beta_prime):
+    """The two split pieces of the long exact sequence of a triangle."""
     lf = phi.cols
     comp = FgAbHom(free_group(lf), beta_prime.target, beta_prime.matrix @ phi)
     phi_hom = FgAbHom(free_group(lf), free_group(phi.rows), phi)
@@ -235,6 +439,8 @@ def _triangle_sequences(phi, beta_prime):
 
 
 def _caps(seq):
+    """Put zero groups at both ends, so exactness covers injectivity and
+    surjectivity too."""
     zero = FgAbGroup(0, ())
     first = FgAbHom(zero, seq[0].source, IntMatrix.from_columns([], rows=seq[0].source.ngens))
     last = FgAbHom(seq[-1].target, zero, IntMatrix(0, seq[-1].target.ngens, ()))

@@ -9,8 +9,18 @@ import math
 import random
 
 import pytest
-from property_suites import _random_unimodular
+from property_suites import (
+    _caps,
+    _random_unimodular,
+    _reference_weights,
+    _triangle_sequences,
+    count_calls,
+    induced_g1_hom,
+    normalized_group,
+    verify_exact,
+)
 
+from stackyfans import fgab, zlinalg
 from stackyfans.fgab import (
     FgAbGroup,
     FgAbHom,
@@ -20,12 +30,8 @@ from stackyfans.fgab import (
     group_name,
     has_finite_cokernel,
     identity_hom,
-    induced_g0_hom,
-    induced_g1_hom,
     is_surjective,
     mapping_cone_dual,
-    normalized_group,
-    verify_exact,
 )
 from stackyfans.zlinalg import IntMatrix, cokernel_presentation, kernel_basis, solve_integer
 
@@ -138,6 +144,62 @@ def test_large_cyclic_weights_ignore_target_automorphisms():
     assert seen == {(FgAbGroup(0, (240168,)), ((3, 80048),))}
 
 
+def _shaped_beta(rng):
+    """beta : Z^l -> Z^f + T whose invariant factors reach past 10^4.
+
+    Random unimodular changes of basis hide a chosen diagonal, so G^1 comes
+    out free, cyclic, mixed G_m^f x mu_d or with non-cyclic torsion.
+    """
+    f = rng.randint(0, 3)
+    target = normalized_group(f, rng.choice(((), (), (12,), (6, 6 * 10007), (65537,))))
+    ell = rng.randint(max(f, 1), f + 2)
+    factors = [rng.choice((1, 1, 2, 10007, 3 * 65537)) for _ in range(f)]
+    diag = IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(ell)]
+                                for i in range(f)], cols=ell)
+    free = _random_unimodular(rng, f) @ diag @ _random_unimodular(rng, ell)
+    torsion = [[rng.randrange(d) for _ in range(ell)] for d in target.torsion]
+    rows = [list(r) for r in free.entries] + torsion
+    return FgAbHom(free_group(ell), target, IntMatrix.from_rows(rows, cols=ell))
+
+
+def _shape(group):
+    if len(group.torsion) >= 2:
+        return "non-cyclic"
+    if group.torsion:
+        return "mixed" if group.free_rank else "cyclic"
+    return "free" if group.free_rank else "trivial"
+
+
+def test_weights_match_the_change_of_basis_reference():
+    """Published weights equal A·W with A the old normalizing automorphism."""
+    rng = random.Random(31)
+    largest = {}
+    for _ in range(300):
+        beta = _shaped_beta(rng)
+        group, weights, _ = _reference_weights(beta)
+        mc = mapping_cone_dual(beta)
+        assert mc.g1.group == group, beta.matrix.entries
+        assert mc.g1.weights == weights, beta.matrix.entries
+        shape = _shape(group)
+        largest[shape] = max(largest.get(shape, 0), *group.torsion, 0)
+    assert largest.keys() >= {"free", "cyclic", "mixed", "non-cyclic"}
+    assert all(largest[s] > 10 ** 4 for s in ("cyclic", "mixed", "non-cyclic"))
+
+
+def test_mapping_cone_dual_inverts_nothing(monkeypatch):
+    """A fresh G^1 is one Hermite form of the free rows and no inverse."""
+    inverses = count_calls(monkeypatch, zlinalg.unimodular_inverse)
+    hermite = count_calls(monkeypatch, zlinalg.hermite_row_form)
+    rng = random.Random(37)
+    for _ in range(20):
+        beta = _shaped_beta(rng)
+        fgab._g1_data.cache_clear()
+        del hermite[:]
+        mapping_cone_dual(beta)
+        assert len(hermite) == 1, beta.matrix.entries
+    assert inverses == []
+
+
 def test_mapping_cone_rejects_torsion_source():
     f = hom(FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), [[1]])
     with pytest.raises(MalformedHom):
@@ -155,25 +217,6 @@ def test_dual_name():
     assert group_name(1, FgAbGroup(0, ())) == "G_m"
     assert group_name(2, FgAbGroup(1, (2,))) == "G_m^2 x G_m x mu_2"
     assert group_name(1, FgAbGroup(3, ())) == "G_m x G_m^3"
-
-
-def _triangle_sequences(phi: IntMatrix, beta_prime: FgAbHom):
-    """The two split pieces of the long exact sequence of a triangle."""
-    lf = phi.cols
-    comp = FgAbHom(free_group(lf), beta_prime.target, beta_prime.matrix @ phi)
-    phi_hom = FgAbHom(free_group(lf), free_group(phi.rows), phi)
-    ident = identity_hom(beta_prime.target)
-    r1 = induced_g1_hom(comp, beta_prime, phi, ident)
-    r2 = induced_g1_hom(phi_hom, comp, IntMatrix.identity(lf), beta_prime)
-    s1 = induced_g0_hom(comp, beta_prime, phi, ident)
-    return r1, r2, s1
-
-
-def _caps(seq):
-    zero = FgAbGroup(0, ())
-    first = FgAbHom(zero, seq[0].source, IntMatrix.from_columns([], rows=seq[0].source.ngens))
-    last = FgAbHom(seq[-1].target, zero, IntMatrix(0, seq[-1].target.ngens, ()))
-    return [first] + list(seq) + [last]
 
 
 def test_triangle_sequence_sandwich():
@@ -216,10 +259,6 @@ def test_induced_hom_rejects_bad_square():
     g = FgAbHom(Z, Z, IntMatrix.from_rows([[3]]))
     with pytest.raises(MalformedHom):
         induced_g1_hom(f, g, IntMatrix.identity(1), identity_hom(Z))
-
-
-def test_normalized_group_reexport():
-    assert normalized_group(0, (6, 4)) == FgAbGroup(0, (2, 12))
 
 
 def test_finite_cokernel_matches_hom_analysis():

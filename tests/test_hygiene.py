@@ -68,15 +68,7 @@ def test_hygiene_check_flags_an_unused_import(tmp_path):
 
 
 # Public names the package keeps although no package code uses them.
-UNREFERENCED_ALLOWED = {
-    "induced_g1_hom": "functoriality of G_beta (the paper's comparison maps); "
-                      "suite_triangle_exactness checks it",
-    "induced_g0_hom": "functoriality of G_beta on the torus factor; "
-                      "suite_triangle_exactness checks it",
-    "verify_exact": "the exactness test suite_triangle_exactness applies to them",
-    "normalized_group": "the documented constructor of FgAbGroup from arbitrary "
-                        "torsion numbers",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def _unreferenced_public(paths: list[Path]) -> list[str]:

@@ -11,11 +11,15 @@ from property_suites import (
     _all_cones,
     _in_generated_cone,
     _preimage_all_cones,
+    _rand_matrix,
+    _random_cone,
     _random_polyhedral_stacky_fan,
     _random_stacky_fan,
+    _random_unimodular,
     _unstable_per_ray,
+    count_calls,
 )
-from stackyfans import polyhedral
+from stackyfans import polyhedral, zlinalg
 from stackyfans.fgab import FgAbGroup, FgAbHom, free_group
 from stackyfans.polyhedral import (
     Cone,
@@ -38,7 +42,7 @@ from stackyfans.polyhedral import (
     unstable_face,
     validate_fan,
 )
-from stackyfans.zlinalg import IntMatrix, row_rank
+from stackyfans.zlinalg import IntMatrix, row_rank, saturate
 
 QUAD = canonicalize_cone([(1, 0), (0, 1)])
 A1 = canonicalize_cone([(1, 0), (1, 2)])
@@ -385,6 +389,50 @@ def test_monoid_iso_a1_cone_vs_quadrant():
     m = IntMatrix.from_columns([(1, 0), (1, 2)], rows=2)
     # the quadrant maps onto the A1 cone but the lattice index is 2
     assert not monoid_iso_on_cone(m, QUAD, A1)
+
+
+def _monoid_iso_saturating(m, sigma, sigma_prime):
+    """Reference monoid_iso_on_cone: m·S extends to a lattice basis, with S
+    a basis of the saturated span of sigma."""
+    if not polyhedral.maps_onto(m, sigma, sigma_prime):
+        return False
+    span = saturate(IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank))
+    return polyhedral._extends_to_basis(m @ span)
+
+
+def _monoid_cases(rng, count):
+    """(m, sigma, sigma') with sigma' the image cone, so only the lattice
+    test decides; m is unimodular, or small and often singular."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 4)
+        sigma = _random_cone(rng, n, max_gens=4, bound=6)
+        if rng.random() < 0.4:
+            m = _random_unimodular(rng, n)
+        else:
+            m = _rand_matrix(rng, rng.randint(1, 4), n, bound=2)
+        try:
+            image = canonicalize_cone([m.apply(r) for r in sigma.rays], ambient_rank=m.rows)
+        except NotStronglyConvex:
+            continue
+        cases.append((m, sigma, image))
+    return cases
+
+
+def test_monoid_iso_matches_saturating_reference():
+    verdicts = set()
+    for m, sigma, image in _monoid_cases(random.Random(41), 600):
+        want = _monoid_iso_saturating(m, sigma, image)
+        assert monoid_iso_on_cone(m, sigma, image) == want, (m.entries, sigma.rays)
+        verdicts.add((want, len(sigma.rays) < sigma.ambient_rank))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_monoid_iso_saturates_nothing(monkeypatch):
+    saturations = count_calls(monkeypatch, zlinalg.saturate)
+    for m, sigma, image in _monoid_cases(random.Random(43), 50):
+        monoid_iso_on_cone(m, sigma, image)
+    assert saturations == []
 
 
 def test_unstable():

@@ -15,6 +15,10 @@ def test_triangle_exactness():
     assert ps.suite_triangle_exactness() == []
 
 
+def test_normalized_group_merges_coprime_orders():
+    assert ps.normalized_group(0, (6, 4)) == ps.FgAbGroup(0, (2, 12))
+
+
 def test_reduce_invariance():
     assert ps.suite_reduce_invariance() == []
 

@@ -12,14 +12,13 @@ from itertools import combinations
 
 import pytest
 
-from property_suites import determinant
+from property_suites import determinant, normalized_group
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_presentation,
     hermite_row_form,
     kernel_basis,
-    normalized_group,
     rank,
     reduce_mod_row_lattice,
     saturate,
