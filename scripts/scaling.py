@@ -20,7 +20,10 @@ Families and sizes:
   shape of the larger ``group_algebra`` requests.  The size is (l, seed)
   with seeds 0..7: the cost of one beta depends on its entries far more
   than on l (at l = 18 these seeds range from 6 ms to 1.4 s), so each seed
-  is a row of its own and the slow ones show as the tail.
+  is a row of its own and the slow ones show as the tail;
+* ``cox_zero``: the zero cone of Z^l, l = 64, 128, 256 (up to the largest
+  rank the CLI accepts): the canonical stack complements an empty ray span
+  by all of Z^l.
 
 Two measurements per size, for the stacky fans:
 
@@ -30,8 +33,9 @@ Two measurements per size, for the stacky fans:
 
 for the morphisms, the in-process CLI calls ``iso`` and ``gms-check``
 (each loads and validates both fans), where every verdict must be "yes";
-and for ``g1_tail`` the in-process CLI call ``gbeta --input <file> --json``,
-which must exit 0.
+for ``g1_tail`` the in-process CLI calls ``gbeta``, ``split`` and
+``canonical`` (each with ``--json``), and for ``cox_zero`` the call
+``cox``, each of which must exit 0.
 
 Each measurement runs five times, or fewer once the runs of one size have
 taken 20 s (the slowest sizes before fan validation started from a known
@@ -39,7 +43,7 @@ cone took 40 s a run); every function cache of the package is cleared
 before each run.  The output records, per size, the median wall
 time, the number of runs and, for one run, the number of calls of the
 family's counted functions: ``halfspace_intersection``, or for ``g1_tail``
-``hermite_row_form`` and ``unimodular_inverse`` (every binding in the
+and ``cox_zero`` ``hermite_row_form`` and ``snf`` (every binding in the
 package is counted).
 """
 
@@ -109,20 +113,25 @@ def _g1_tail(size: tuple[int, int]) -> dict:
     return doc
 
 
+def _cox_zero(ell: int) -> dict:
+    return {"lattice_rank": ell, "fan": {"maximal_cones": [[]]}}
+
+
 REPEATS = 5
 BUDGET_S = 20.0
 
 STACKY_FAN = ("validate", "gms")
 MORPHISM = ("iso", "gms-check")
 DD = (polyhedral.halfspace_intersection,)
-HNF = (zlinalg.hermite_row_form, zlinalg.unimodular_inverse)
+FORMS = (zlinalg.hermite_row_form, zlinalg.snf)
 FAMILIES = {
     "orthant": (_orthant, (8, 12, 18, 24), STACKY_FAN, DD),
     "p1_cox": (_p1_cox, (3, 4, 5, 6), STACKY_FAN, DD),
     "kgon": (_kgon, (7, 10, 16), STACKY_FAN, DD),
     "p1_morphism": (_p1_morphism, (3, 4, 5, 6), MORPHISM, DD),
     "g1_tail": (_g1_tail, [(ell, seed) for ell in (10, 14, 18) for seed in range(8)],
-                ("gbeta",), HNF),
+                ("gbeta", "split", "canonical"), FORMS),
+    "cox_zero": (_cox_zero, (64, 128, 256), ("cox",), FORMS),
 }
 
 
@@ -153,7 +162,8 @@ def _command(command: str, verdict: bool = True):
 
 
 TASKS = {"validate": _validate, "gms": _command("gms"), "iso": _command("iso"),
-         "gms-check": _command("gms-check"), "gbeta": _command("gbeta", verdict=False)}
+         "gms-check": _command("gms-check"),
+         **{name: _command(name, verdict=False) for name in ("gbeta", "split", "canonical", "cox")}}
 
 
 @contextlib.contextmanager

@@ -39,9 +39,9 @@ Fan datum file (``fantastack`` and ``cox``)::
 Here the fan lives on N = Z^lattice_rank itself and ``beta_images`` lists
 the prospective images (omitted for ``cox``).
 
-Every rank field (``lattice_rank``, and ``rank`` of a target) is at most
-``MAX_RANK``; a larger one is refused as malformed before anything is
-built, since the commands build structures with one entry per coordinate.
+Every rank field (``lattice_rank``, and ``rank`` of a target) lies in
+0..``MAX_RANK``; any other is refused as malformed before anything is built,
+since the commands build structures with one entry per coordinate.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ from .zlinalg import IntMatrix
 
 
 # The largest rank field accepted.  Even the cheapest commands grow
-# cubically in the rank: cox on the zero cone takes about 0.2 s at rank 100
-# and 6 s at rank 300 on a 2-vCPU x86_64 host.
+# cubically in the rank: cox on the zero cone takes about 0.08 s at rank 100
+# and 0.9 s at rank 256 on a 2-vCPU x86_64 host, nearly all of it the
+# product of beta with the lattice map Phi.
 MAX_RANK = 256
 
 
@@ -123,6 +124,8 @@ def _want(doc: Any, field: str, kind: type, where: str):
 
 def _rank_field(doc: Any, field: str, where: str) -> int:
     val = _want(doc, field, int, where)
+    if val < 0:
+        raise InputError(f"{where}: field '{field}' must be nonnegative")
     if val > MAX_RANK:
         raise InputError(f"{where}: field '{field}' exceeds the limit {MAX_RANK}")
     return val
@@ -163,8 +166,6 @@ def _load_target(doc: Any, where: str) -> FgAbGroup:
 
 def _load_stacky_fan(doc: Any, where: str, check_fan: bool = True) -> StackyFan:
     rank = _rank_field(doc, "lattice_rank", where)
-    if rank < 0:
-        raise InputError(f"{where}: field 'lattice_rank' must be nonnegative")
     fan = _load_fan(_want(doc, "fan", dict, where), rank, f"{where}.fan")
     target = _load_target(_want(doc, "target", dict, where), f"{where}.target")
     images_doc = _want(doc, "beta_images", list, where)

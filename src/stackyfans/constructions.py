@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgab import FgAbHom, _kernel_lattice, free_group, has_finite_cokernel, identity_hom, is_surjective
+from .fgab import FgAbHom, free_group, has_finite_cokernel, identity_hom, is_surjective
 from .polyhedral import (
     Cone,
     Fan,
@@ -47,10 +47,10 @@ from .zlinalg import (
     kernel_basis,
     rank,
     reduce_mod_row_lattice,
+    row_rank,
     saturate,
     snf,
     solve_integer,
-    unimodular_inverse,
 )
 
 
@@ -126,10 +126,7 @@ def canonical_stack(sf: StackyFan) -> CanonicalStackResult:
     ell = sf.lattice_rank
     rays = fan_rays(sf.fan)
     span = saturate(IntMatrix.from_columns(rays, rows=ell))
-    m = span.cols
-    d = snf(span)
-    uinv = unimodular_inverse(d.U)
-    complement = [uinv.column(j) for j in range(m, ell)]
+    complement = snf(span).Uinv.columns()[span.cols:]
     phi_cols = list(rays) + complement
     big = IntMatrix.from_columns(phi_cols, rows=ell)
     beta = sf.beta
@@ -273,14 +270,16 @@ def gms_check(m: StackyMorphism) -> GmsResult:
 
 
 def _finite_kernel_mod_tau(m: StackyMorphism, tau: Cone) -> bool:
-    """Is ker(phi) modulo the image of the tau-span finite?"""
+    """Is ker(phi) modulo the image of the tau-span finite?
+
+    Compares ranks.  phi sends torsion to torsion, so the free rows of its
+    matrix alone cut out the kernel rationally.
+    """
     n = m.source.target.ngens
-    kl = _kernel_lattice(m.phi)
-    tspan = saturate(IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank))
+    kernel_rank = n - row_rank(m.phi.matrix.entries[:m.phi.target.free_rank])
     beta_mat = IntMatrix.from_columns(list(m.source.beta_images), rows=n)
-    moved = beta_mat @ tspan
-    rel = m.source.target.relations()
-    return rank(kl) == rank(moved.hstack(rel))
+    moved = beta_mat @ IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank)
+    return kernel_rank == rank(moved.hstack(m.source.target.relations()))
 
 
 def gms_construct(sf: StackyFan) -> GmsResult:

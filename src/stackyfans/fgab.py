@@ -32,7 +32,6 @@ from .zlinalg import (
     Vec,
     cokernel_presentation,
     hermite_row_form,
-    kernel_basis,
     rank,
 )
 
@@ -101,17 +100,6 @@ class FgAbHom:
 
 def identity_hom(g: FgAbGroup) -> FgAbHom:
     return FgAbHom(g, g, IntMatrix.identity(g.ngens))
-
-
-def _kernel_lattice(f: FgAbHom) -> IntMatrix:
-    """Generators (columns in Z^source.ngens) of {v : f(v) = 0}."""
-    big = f.matrix.hstack(f.target.relations())
-    kb = kernel_basis(big)
-    n = f.source.ngens
-    cols = [c[:n] for c in kb.columns()]
-    # source relations always die, and keeping them makes the span honest
-    cols.extend(f.source.relations().columns())
-    return IntMatrix.from_columns(cols, rows=n)
 
 
 def has_finite_cokernel(f: FgAbHom) -> bool:
@@ -207,7 +195,8 @@ def _g1_data(beta: FgAbHom) -> MappingConeDual:
         u = _unit_for_row(row, d)
         torsion_rows.append(tuple(u * x % d for x in row))
     weights = IntMatrix.from_rows(free_rows.entries + tuple(torsion_rows), cols=ell)
-    return MappingConeDual(g0_rank=beta.target.ngens - rank(bt),
+    # the cokernel of bt^T has free rank bt.cols - rank(bt)
+    return MappingConeDual(g0_rank=beta.target.ngens - bt.cols + group.free_rank,
                            g1=DiagGroupPresentation(group, weights))
 
 

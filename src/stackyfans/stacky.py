@@ -27,7 +27,7 @@ from .fgab import (
     mapping_cone_dual,
 )
 from .polyhedral import Cone, Fan, maps_into_fan, validate_fan
-from .zlinalg import IntMatrix, Vec, cokernel_presentation, saturate, solve_integer
+from .zlinalg import IntMatrix, Vec, cokernel_presentation, snf
 
 
 class NotSubfanOfAffineSpace(Exception):
@@ -270,21 +270,11 @@ def split_torus_factor(sf: StackyFan) -> tuple[StackyFan, int]:
     """
     n = sf.target.ngens
     rel = sf.target.relations()
-    gens = IntMatrix.from_columns(list(sf.beta_images), rows=n).hstack(rel)
-    w = saturate(gens)
-    cols = []
-    for c in rel.columns():
-        x = solve_integer(w, c)
-        if x is None:
-            raise ValueError("relation escaped the saturation")
-        cols.append(x)
-    inner = IntMatrix.from_columns(cols, rows=w.cols)
-    grp, proj = cokernel_presentation(inner)
-    images = []
-    for v in sf.beta_images:
-        y = solve_integer(w, v)
-        if y is None:
-            raise ValueError("image escaped the saturation")
-        images.append(grp.reduce(proj.apply(y)))
-    out = StackyFan(sf.fan, grp, tuple(images))
-    return out, sf.target.free_rank - grp.free_rank
+    d = snf(IntMatrix.from_columns(list(sf.beta_images), rows=n).hstack(rel))
+    # U maps the saturation basis U^-1[:, :r] onto the first r unit vectors,
+    # so the first r rows of U give the coordinates in it of any column of
+    # [B | Q], uniquely since that basis is saturated
+    coords = IntMatrix.from_rows(d.U.entries[:len(d.invariant_factors)], cols=n)
+    grp, proj = cokernel_presentation(coords @ rel)
+    images = tuple(proj.apply(coords.apply(v)) for v in sf.beta_images)
+    return StackyFan(sf.fan, grp, images), sf.target.free_rank - grp.free_rank

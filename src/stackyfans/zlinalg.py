@@ -98,11 +98,17 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """U @ M @ V == S with U, V unimodular and S in Smith normal form."""
+    """U @ M @ V == S with U, V unimodular and S in Smith normal form.
+
+    ``Uinv`` is the inverse of U.  With r invariant factors, its first r
+    columns are a basis of the saturation of the column span of M, and the
+    rest complete them to a basis of Z^rows.
+    """
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
+    Uinv: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
@@ -131,11 +137,14 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     s = [list(r) for r in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # the columns of U^-1: each row operation on U is a column operation here
+    uinv = [[1 if i == j else 0 for i in range(rows)] for j in range(rows)]
 
     def row_op(i: int, k: int, q: int) -> None:
-        # row i -= q * row k
+        # row i -= q * row k, so column k of U^-1 += q * column i
         s[i] = [a - q * b for a, b in zip(s[i], s[k])]
         u[i] = [a - q * b for a, b in zip(u[i], u[k])]
+        uinv[k] = [a + q * b for a, b in zip(uinv[k], uinv[i])]
 
     def col_op(j: int, k: int, q: int) -> None:
         # col j -= q * col k
@@ -147,6 +156,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     def swap_rows(i: int, k: int) -> None:
         s[i], s[k] = s[k], s[i]
         u[i], u[k] = u[k], u[i]
+        uinv[i], uinv[k] = uinv[k], uinv[i]
 
     def swap_cols(j: int, k: int) -> None:
         for r in s:
@@ -197,6 +207,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
+            uinv[t] = [-a for a in uinv[t]]
         t += 1
 
     factors = tuple(s[i][i] for i in range(limit) if s[i][i] != 0)
@@ -204,6 +215,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         S=IntMatrix.from_rows(s, cols),
         U=IntMatrix.from_rows(u, rows),
         V=IntMatrix.from_rows(v, cols),
+        Uinv=IntMatrix.from_columns(uinv, rows),
         invariant_factors=factors,
     )
 
@@ -238,15 +250,6 @@ def row_rank(rows: Sequence[Sequence[int]]) -> int:
 
 def rank(m: IntMatrix) -> int:
     return row_rank(m.entries)
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1."""
-    d = snf(m)
-    if m.rows != m.cols or len(d.invariant_factors) != m.rows or any(
-            f != 1 for f in d.invariant_factors):
-        raise ValueError("matrix is not unimodular")
-    return d.V @ d.U
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -285,9 +288,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
 def saturate(m: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the saturation (colspan QM) ∩ Z^rows."""
     d = snf(m)
-    r = len(d.invariant_factors)
-    uinv = unimodular_inverse(d.U)
-    return IntMatrix.from_columns([uinv.column(i) for i in range(r)], rows=m.rows)
+    return d.Uinv.submatrix(range(m.rows), range(len(d.invariant_factors)))
 
 
 @dataclass(frozen=True)

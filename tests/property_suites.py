@@ -28,7 +28,6 @@ from stackyfans.constructions import (
 from stackyfans.fgab import (
     FgAbHom,
     MalformedHom,
-    _kernel_lattice,
     _strictification,
     _unit_for_row,
     free_group,
@@ -68,7 +67,6 @@ from stackyfans.zlinalg import (
     saturate,
     snf,
     solve_integer,
-    unimodular_inverse,
 )
 
 
@@ -184,6 +182,8 @@ def suite_snf_contracts(cases=500, seed=101):
             problems.append("U m V != S")
         if abs(determinant(dec.U)) != 1 or abs(determinant(dec.V)) != 1:
             problems.append("transforms not unimodular")
+        if dec.U @ dec.Uinv != IntMatrix.identity(m.rows):
+            problems.append("Uinv is not the inverse of U")
         diag = [dec.S.entries[i][i] for i in range(min(m.rows, m.cols))]
         if any(dec.S.entries[i][j] for i in range(m.rows)
                for j in range(m.cols) if i != j):
@@ -260,6 +260,17 @@ def suite_unstable_routes(cases=500, seed=202):
 
 # ---------------------------------------------------------------------------
 # 3. exactness of the two character-level sequences of a composition
+
+def _kernel_lattice(f):
+    """Generators (columns in Z^source.ngens) of {v : f(v) = 0}."""
+    big = f.matrix.hstack(f.target.relations())
+    kb = kernel_basis(big)
+    n = f.source.ngens
+    cols = [c[:n] for c in kb.columns()]
+    # source relations always die, and keeping them makes the span honest
+    cols.extend(f.source.relations().columns())
+    return IntMatrix.from_columns(cols, rows=n)
+
 
 def verify_exact(seq):
     """Exactness at every interior junction of a composable sequence.
@@ -852,10 +863,18 @@ def _random_unimodular(rng, n):
     return IntMatrix.from_rows(rows, cols=n)
 
 
+def _unimodular_inverse(m):
+    """Inverse of a matrix with determinant +-1, as V @ U of its Smith form."""
+    d = snf(m)
+    if m.rows != m.cols or d.invariant_factors != (1,) * m.rows:
+        raise ValueError("matrix is not unimodular")
+    return d.V @ d.U
+
+
 def _twist_morphism(m, rng):
     """Conjugate by a source-lattice and a target-group change of basis."""
     u = _random_unimodular(rng, m.source.lattice_rank)
-    uinv = unimodular_inverse(u)
+    uinv = _unimodular_inverse(u)
     w = _random_unimodular(rng, m.target.target.free_rank)
     src_b = IntMatrix.from_columns(list(m.source.beta_images),
                                    rows=m.source.target.ngens)
@@ -1083,6 +1102,40 @@ def suite_monoid_iso_bruteforce(cases=500, seed=707):
                 f"reported {got}, brute force says {want}")
         done += 1
     return failures
+
+
+# ---------------------------------------------------------------------------
+# references for the routes that now read one Smith form
+
+def _split_torus_factor_solving(sf):
+    """Reference split_torus_factor: saturate [B | Q], then solve for the
+    coordinates of each relation and each image in that basis."""
+    n = sf.target.ngens
+    rel = sf.target.relations()
+    w = saturate(IntMatrix.from_columns(list(sf.beta_images), rows=n).hstack(rel))
+    inner = IntMatrix.from_columns([solve_integer(w, c) for c in rel.columns()], rows=w.cols)
+    grp, proj = cokernel_presentation(inner)
+    images = tuple(grp.reduce(proj.apply(solve_integer(w, v))) for v in sf.beta_images)
+    return StackyFan(sf.fan, grp, images), sf.target.free_rank - grp.free_rank
+
+
+def _canonical_phi_inverting(sf):
+    """Reference lattice map of canonical_stack: the rays, then a complement
+    of their saturated span from the inverse of that span's U."""
+    ell = sf.lattice_rank
+    rays = fan_rays(sf.fan)
+    span = saturate(IntMatrix.from_columns(rays, rows=ell))
+    complement = _unimodular_inverse(snf(span).U).columns()[span.cols:]
+    return IntMatrix.from_columns(list(rays) + complement, rows=ell)
+
+
+def _finite_kernel_mod_tau_lattice(m, tau):
+    """Reference _finite_kernel_mod_tau: the rank of the kernel lattice of
+    phi against that of beta on the saturated tau span plus the relations."""
+    n = m.source.target.ngens
+    tspan = saturate(IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank))
+    moved = IntMatrix.from_columns(list(m.source.beta_images), rows=n) @ tspan
+    return rank(_kernel_lattice(m.phi)) == rank(moved.hstack(m.source.target.relations()))
 
 
 ALL_SUITES = (

@@ -260,3 +260,20 @@ def test_huge_rank_fields_fail_fast(capsys, tmp_path, command, doc):
         signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (2, "")
     assert f"exceeds the limit {MAX_RANK}" in err
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("cox", {"lattice_rank": -1, "fan": {"maximal_cones": [[]]}}, "lattice_rank"),
+    ("fantastack", {"lattice_rank": -1, "fan": {"maximal_cones": [[]]},
+                    "beta_images": []}, "lattice_rank"),
+    ("gbeta", {"lattice_rank": -1, "fan": {"maximal_cones": [[]]},
+               "target": {"rank": 0, "torsion": []}, "beta_images": []}, "lattice_rank"),
+    ("gbeta", {"lattice_rank": 0, "fan": {"maximal_cones": [[]]},
+               "target": {"rank": -1, "torsion": []}, "beta_images": []}, "rank"),
+])
+def test_negative_rank_fields_are_malformed(capsys, tmp_path, command, doc, field):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, "--input", path)
+    assert (code, out) == (2, "")
+    assert f"field '{field}' must be nonnegative" in err

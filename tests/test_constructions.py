@@ -3,27 +3,38 @@ good-moduli-space decisions, and the functor-of-points readings."""
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from property_suites import (
     _all_cones,
+    _canonical_phi_inverting,
     _cone_pool,
+    _finite_kernel_mod_tau_lattice,
     _gms_check_all_cones,
     _in_generated_cone,
     _is_isomorphism_all_cones,
+    _morphism_pool,
     _onto_preimage_canonical,
     _preimage_all_cones,
+    _product_morphism,
+    _random_fan,
+    _random_group,
     _random_polyhedral_stacky_fan,
     _random_stacky_fan,
+    _random_unimodular,
+    _twist_morphism,
     _unstable_per_ray,
     _verdict_morphisms,
+    count_calls,
 )
-from stackyfans import constructions, polyhedral
+from stackyfans import constructions, polyhedral, zlinalg
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
     GmsResult,
     NotSmooth,
+    _finite_kernel_mod_tau,
     canonical_stack,
     cox_presentation,
     fantastack,
@@ -42,6 +53,7 @@ from stackyfans.polyhedral import (
     canonicalize_cone,
     cone_contains,
     cone_contains_all,
+    fan_rays,
     halfspace_intersection,
     is_unstable,
     maximal_among,
@@ -49,7 +61,7 @@ from stackyfans.polyhedral import (
     monoid_iso_on_cone,
 )
 from stackyfans.stacky import StackyFan, StackyMorphism
-from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate
+from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate, snf
 
 
 def _cone(*gens, rank=None):
@@ -146,6 +158,39 @@ def test_canonical_stack_square_cone():
     assert mc.g1.group == FgAbGroup(1, ())
     # lexicographic ray order pins the weight signs
     assert mc.g1.weights.entries == ((1, -1, -1, 1),)
+
+
+def _embedded_stacky_fan(rng):
+    """A random fan on Z^2 carried into Z^4 by a unimodular map, so that its
+    rays span a proper sublattice, with random beta into a group."""
+    fan = _random_fan(rng, 2)
+    u = _random_unimodular(rng, 4) @ _random_unimodular(rng, 4)
+    cones = tuple(canonicalize_cone([u.apply(r + (0, 0)) for r in c.rays], ambient_rank=4)
+                  for c in fan.maximal_cones)
+    target = _random_group(rng, max_free=2)
+    images = [tuple(rng.randint(-5, 5) for _ in range(target.ngens)) for _ in range(4)]
+    return _sf(Fan(4, cones), target, images)
+
+
+def test_canonical_stack_matches_inverting_reference():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(300):
+        sf = _embedded_stacky_fan(rng)
+        assert canonical_stack(sf).morphism.Phi == _canonical_phi_inverting(sf), sf
+        rays = IntMatrix.from_columns(fan_rays(sf.fan), rows=4)
+        factors = snf(rays).invariant_factors
+        seen.add((len(factors), any(f > 1 for f in factors)))
+    assert seen >= {(0, False), (1, False), (2, False), (2, True)}, seen
+
+
+def test_canonical_stack_makes_two_smith_forms(monkeypatch):
+    sf = _sf(Fan(3, (_cone((1, 0, 0), (1, 2, 0)),)), FgAbGroup(1, (2,)),
+             [(1, 0), (0, 1), (2, 1)])
+    smith = count_calls(monkeypatch, zlinalg.snf)
+    # two rays spanning an index-2 sublattice of a rank-2 saturation
+    assert canonical_stack(sf).morphism.Phi.cols == 3
+    assert len(smith) == 2
 
 
 def test_cox_presentation_p2():
@@ -454,6 +499,63 @@ def test_verdicts_match_all_cones_references():
     assert all(seen[k] >= 20 for k in ((None, False), (1, False), (2, False), (2, True),
                                        (3, False), (3, True), None, "1", "2", "3")), seen
     assert seen["4"] >= 1, seen
+
+
+def _forget_torsion(sf):
+    """sf onto the same fan with the torsion of its target dropped: Phi the
+    identity, phi the projection onto the free part."""
+    f, n = sf.target.free_rank, sf.target.ngens
+    free = _sf(sf.fan, free_group(f), [v[:f] for v in sf.beta_images])
+    proj = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(f)], cols=n)
+    return StackyMorphism(sf, free, IntMatrix.identity(sf.lattice_rank),
+                          FgAbHom(sf.target, free.target, proj))
+
+
+def _product_map(rng):
+    """A^2 -> A^1 by (x, y) -> xy, with random torsion on the source target:
+    tau is the zero cone, and ker(phi) is not finite over it."""
+    target = FgAbGroup(2, rng.choice(((), (2,), (3, 6))))
+    images = [v + tuple(rng.randrange(d) for d in target.torsion) for v in ((1, 0), (0, 1))]
+    phi = IntMatrix.from_rows([[1, 1] + [0] * len(target.torsion)], cols=target.ngens)
+    line = _sf(Fan(1, (_cone((1,), rank=1),)), free_group(1), [(1,)])
+    return StackyMorphism(_sf(QUAD_FAN, target, images), line, IntMatrix.from_rows([[1, 1]]),
+                          FgAbHom(target, free_group(1), phi))
+
+
+def test_finite_kernel_mod_tau_matches_kernel_lattice_reference():
+    """Twists and products of the verdict pool, torsion dropped from random
+    stacky fans, and twisted product maps with and without torsion."""
+    rng = random.Random(59)
+    pool = _morphism_pool()
+    cases = [m for _, m in _verdict_morphisms(rng, 500)]
+    while len(cases) < 700:
+        sf = _random_stacky_fan(rng)
+        if sf.target.torsion and has_finite_cokernel(sf.beta):
+            cases.append(_forget_torsion(sf))
+    while len(cases) < 800:
+        m = _product_map(rng)
+        if not m.source.target.torsion and rng.random() < 0.5:
+            m = _product_morphism(m, rng.choice(pool))
+        cases.append(_twist_morphism(m, rng) if rng.random() < 0.6 else m)
+    seen = Counter()
+    for m in cases:
+        res = gms_check(m)
+        tau = res.tau or Cone(m.source.lattice_rank, ())
+        want = _finite_kernel_mod_tau_lattice(m, tau)
+        assert _finite_kernel_mod_tau(m, tau) == want, m
+        if res.failing_condition in (None, "4"):
+            assert res.verdict == want, m
+            seen[want, bool(m.source.target.torsion)] += 1
+    assert all(seen[k] >= 5 for k in product((False, True), repeat=2)), seen
+
+
+def test_gms_check_builds_no_kernel_lattice(monkeypatch):
+    cases = [m for _, m in _verdict_morphisms(random.Random(61), 200)]
+    kernels = count_calls(monkeypatch, zlinalg.kernel_basis)
+    saturations = count_calls(monkeypatch, zlinalg.saturate)
+    reached = sum(gms_check(m).failing_condition in (None, "4") for m in cases)
+    assert reached >= 20
+    assert (kernels, saturations) == ([], [])
 
 
 def test_verdicts_on_success_read_only_the_maximal_cones(monkeypatch):

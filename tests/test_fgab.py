@@ -186,18 +186,19 @@ def test_weights_match_the_change_of_basis_reference():
     assert all(largest[s] > 10 ** 4 for s in ("cyclic", "mixed", "non-cyclic"))
 
 
-def test_mapping_cone_dual_inverts_nothing(monkeypatch):
-    """A fresh G^1 is one Hermite form of the free rows and no inverse."""
-    inverses = count_calls(monkeypatch, zlinalg.unimodular_inverse)
+def test_mapping_cone_dual_reads_one_smith_form(monkeypatch):
+    """A fresh G_beta is one Smith form, one Hermite form of the free rows
+    and no separate rank."""
+    smith = count_calls(monkeypatch, zlinalg.snf)
     hermite = count_calls(monkeypatch, zlinalg.hermite_row_form)
+    ranks = count_calls(monkeypatch, zlinalg.rank)
     rng = random.Random(37)
     for _ in range(20):
         beta = _shaped_beta(rng)
         fgab._g1_data.cache_clear()
-        del hermite[:]
+        del smith[:], hermite[:], ranks[:]
         mapping_cone_dual(beta)
-        assert len(hermite) == 1, beta.matrix.entries
-    assert inverses == []
+        assert (len(smith), len(hermite), len(ranks)) == (1, 1, 0), beta.matrix.entries
 
 
 def test_mapping_cone_rejects_torsion_source():

@@ -6,8 +6,17 @@ import random
 
 import pytest
 
-from stackyfans.fgab import FgAbGroup, FgAbHom, free_group, identity_hom, mapping_cone_dual
-from stackyfans.polyhedral import Fan, canonicalize_cone
+from property_suites import _random_group, _split_torus_factor_solving, count_calls
+from stackyfans import zlinalg
+from stackyfans.fgab import (
+    FgAbGroup,
+    FgAbHom,
+    free_group,
+    has_finite_cokernel,
+    identity_hom,
+    mapping_cone_dual,
+)
+from stackyfans.polyhedral import Cone, Fan, canonicalize_cone
 from stackyfans.stacky import (
     NotSubfanOfAffineSpace,
     StackyFan,
@@ -21,7 +30,7 @@ from stackyfans.stacky import (
     validate_morphism,
     validate_stacky_fan,
 )
-from stackyfans.zlinalg import IntMatrix
+from stackyfans.zlinalg import IntMatrix, row_rank
 
 
 def _cone(*gens, rank=None):
@@ -147,6 +156,37 @@ def test_split_keeps_finite_part():
     assert k == 1
     assert split.target == free_group(1)
     assert split.beta_images == ((2,),)
+
+
+def _split_case(rng, ell, target, entries):
+    images = [tuple(rng.choice(entries) for _ in range(target.ngens)) for _ in range(ell)]
+    return StackyFan(Fan(ell, (Cone(ell, ()),)), target, tuple(images))
+
+
+def test_split_matches_solving_reference():
+    """Coordinates read off U agree with solving in the saturation basis."""
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(400):
+        target = _random_group(rng, max_free=4)
+        # sparse images, so the free block is often rank-deficient
+        sf = _split_case(rng, rng.randint(0, 5), target, (0, 0, 0, 1, -2, 3, 6))
+        assert split_torus_factor(sf) == _split_torus_factor_solving(sf), sf
+        f = target.free_rank
+        deficient = row_rank([v[:f] for v in sf.beta_images]) < min(f, sf.lattice_rank)
+        seen.add((bool(target.torsion), has_finite_cokernel(sf.beta), deficient))
+    assert {(t, c) for t, c, _ in seen} == set(itertools.product((False, True), repeat=2))
+    assert any(deficient for _, _, deficient in seen)
+
+
+def test_split_makes_two_smith_forms(monkeypatch):
+    # the shape of the largest group_algebra requests: rank 18 into Z^6 + Z/60
+    sf = _split_case(random.Random(7), 18, FgAbGroup(6, (60,)), range(-99, 100))
+    smith = count_calls(monkeypatch, zlinalg.snf)
+    solves = count_calls(monkeypatch, zlinalg.solve_integer)
+    saturations = count_calls(monkeypatch, zlinalg.saturate)
+    split_torus_factor(sf)
+    assert (len(smith), solves, saturations) == (2, [], [])
 
 
 def test_validate_morphism_good():
