@@ -93,17 +93,18 @@ def fantastack(fan: Fan, beta_images: Sequence[Sequence[int]]) -> tuple[StackyFa
         if ray not in prims:
             raise FantastackPreconditionViolated(
                 "ray_coverage", f"no image generates the ray {ray}")
-    for v in images:
-        if not fan.maximal_cones:
-            raise FantastackPreconditionViolated(
-                "support", "fan has no cones but images exist")
-        if not any(cone_contains(c, v) for c in fan.maximal_cones):
+    if images and not fan.maximal_cones:
+        raise FantastackPreconditionViolated(
+            "support", "fan has no cones but images exist")
+    inside = [[cone_contains(c, v) for v in images] for c in fan.maximal_cones]
+    for i, v in enumerate(images):
+        if not any(row[i] for row in inside):
             raise FantastackPreconditionViolated(
                 "support", f"image {v} lies outside the fan's support")
     hats = []
-    for c in fan.maximal_cones:
-        idx = tuple(i for i, v in enumerate(images) if cone_contains(c, v))
-        rays = tuple(sorted(tuple(1 if k == i else 0 for k in range(n)) for i in idx))
+    for row in inside:
+        rays = tuple(sorted(tuple(1 if k == i else 0 for k in range(n))
+                            for i, hit in enumerate(row) if hit))
         hats.append(Cone(n, rays))
     sf = StackyFan(Fan(n, tuple(hats)), free_group(r), tuple(images))
     return sf, present_quotient(sf)
@@ -277,8 +278,8 @@ def _finite_kernel_mod_tau(m: StackyMorphism, tau: Cone) -> bool:
     """
     n = m.source.target.ngens
     kernel_rank = n - row_rank(m.phi.matrix.entries[:m.phi.target.free_rank])
-    beta_mat = IntMatrix.from_columns(list(m.source.beta_images), rows=n)
-    moved = beta_mat @ IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank)
+    rays = IntMatrix.from_columns(list(tau.rays), rows=m.source.lattice_rank)
+    moved = m.source.beta.matrix @ rays
     return kernel_rank == rank(moved.hstack(m.source.target.relations()))
 
 
@@ -300,15 +301,13 @@ def gms_construct(sf: StackyFan) -> GmsResult:
     if len(maximal) != 1:
         return GmsResult(False, "(i)", None, None)
     tau = maximal[0]
-    n = sf.target.ngens
     tspan = saturate(IntMatrix.from_columns(list(tau.rays), rows=sf.lattice_rank))
-    beta_mat = IntMatrix.from_columns(list(sf.beta_images), rows=n)
-    killed = saturate((beta_mat @ tspan).hstack(sf.target.relations()))
+    killed = saturate((beta.matrix @ tspan).hstack(sf.target.relations()))
     grp, proj = cokernel_presentation(killed)
     if grp.torsion:
         raise AssertionError("quotient by a saturated sublattice must be free")
     phi = FgAbHom(sf.target, grp, proj)
-    big_phi = proj @ beta_mat
+    big_phi = proj @ beta.matrix
     rp = grp.free_rank
     images = []
     for sigma in sf.fan.maximal_cones:
@@ -361,10 +360,9 @@ def moduli_description(sf: StackyFan, forced_zero: Sequence[int] = ()) -> Moduli
     for i in fz:
         if not 1 <= i <= n:
             raise ValueError(f"forced zero section {i} outside 1..{n}")
-    beta_mat = IntMatrix.from_columns(list(sf.beta_images), rows=sf.target.ngens)
     return ModuliDescription(
         ambient_dim=n,
-        linear_relations=beta_mat.entries,
+        linear_relations=sf.beta.matrix.entries,
         intersection_relations=tuple(
             sorted(primitive_collections(n, idx), key=lambda s: (len(s), s))),
         forced_zero_sections=fz,
@@ -398,9 +396,16 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     ``zero_coordinates`` (1-based) must index the rays of a face of some
     maximal cone; the closed substack they cut out is a gerbe over the
     toric stack of the surviving coordinates, banded by the listed roots
-    plus ``bg_m_rank`` full torus gerbe factors.  That product form needs
-    the relations restricted to the zero coordinates to split by
-    coordinate; when they do not, PreconditionViolated is raised.
+    plus ``bg_m_rank`` full torus gerbe factors.
+
+    Let R be the relations (rows of beta) restricted to the zero
+    coordinates and g_i the gcd of their entries at coordinate i.  R lies
+    in the sum of the g_i Z e_i, so it splits by coordinate, as the product
+    form needs, exactly when each g_i e_i lies in R; otherwise
+    PreconditionViolated is raised.  Coordinate i then gives a B G_m factor
+    when g_i = 0 and a g_i-th root otherwise, whose exponents are minus the
+    surviving entries of a relation restricting to g_i e_i, reduced modulo
+    the base's relations.
     """
     idx = _moduli_preconditions(sf)
     n = sf.lattice_rank
@@ -411,63 +416,28 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     if not any(set(zset) <= s for s in idx):
         raise PreconditionViolated(
             "zero coordinates do not index a face of any maximal cone")
-    comp = [i for i in range(1, n + 1) if i not in zset]
-    beta_mat = IntMatrix.from_columns(list(sf.beta_images), rows=sf.target.ngens)
-    dual_rows = beta_mat.entries  # basis of N^ as row vectors in Z^n
-
-    def vanishing_sub(zero_at: Sequence[int]) -> IntMatrix:
-        """Row basis of {v in N^ : v_j = 0 for j in zero_at}."""
-        if not zero_at:
-            return IntMatrix.from_rows(dual_rows, cols=n)
-        constraint = IntMatrix.from_rows(
-            [[row[j - 1] for row in dual_rows] for j in zero_at])
-        y = kernel_basis(constraint)
-        rows = [tuple(sum(y.entries[k][c] * dual_rows[k][j] for k in range(len(dual_rows)))
-                      for j in range(n))
-                for c in range(y.cols)]
-        return IntMatrix.from_rows(rows, cols=n)
-
-    # R, the relations restricted to the zero coordinates, holds the sum of
-    # its pieces R ∩ Z·e_i = Z·g_i·e_i; the band splits into one factor per
-    # coordinate only when R is that sum, i.e. every relation's entry at i
-    # is a multiple of g_i
-    parts = []
-    for i in zset:
-        sub = vanishing_sub([z for z in zset if z != i])
-        parts.append((i, sub, math.gcd(*(row[i - 1] for row in sub.entries))))
-    if any(row[i - 1] % g if g else row[i - 1] for row in dual_rows for i, _, g in parts):
-        raise PreconditionViolated(
-            "the relations on the zero coordinates do not split by coordinate, "
-            "so the band is not a product of one group per coordinate")
-
-    base_dual = vanishing_sub(zset)
-    mrank = base_dual.rows
-    base_cols = [tuple(base_dual.entries[k][j - 1] for k in range(mrank)) for j in comp]
-    kept_cones = set()
-    compset = set(comp)
-    reindex = {j: k for k, j in enumerate(comp)}
-    for c in sf.fan.maximal_cones:
-        ray_idx = {next(j for j, x in enumerate(r) if x != 0) + 1 for r in c.rays}
-        inner = sorted(ray_idx & compset)
-        rays = tuple(sorted(
-            tuple(1 if k == reindex[j] else 0 for k in range(len(comp))) for j in inner))
-        kept_cones.add(Cone(len(comp), rays))
-    base_fan = Fan(len(comp), tuple(maximal_among(list(kept_cones))))
-    base = StackyFan(base_fan, free_group(mrank), tuple(base_cols))
-    restricted = IntMatrix.from_rows(
-        [tuple(r[j - 1] for j in comp) for r in base_dual.entries], cols=len(comp))
-    bg_m = 0
+    # row j - 1 holds every relation's entry at coordinate j
+    coeffs = sf.beta.matrix.transpose()
+    comp = [j for j in range(1, n + 1) if j not in zset]
+    constraint = coeffs.submatrix([i - 1 for i in zset], range(coeffs.cols))
+    surviving = coeffs.submatrix([j - 1 for j in comp], range(coeffs.cols))
+    # the base's relations are those vanishing on every zero coordinate
+    base_images = surviving @ kernel_basis(constraint)
+    unit = {j: tuple(1 if k == p else 0 for k in range(len(comp))) for p, j in enumerate(comp)}
+    kept = [Cone(len(comp), tuple(sorted(unit[j] for j in s if j in unit))) for s in idx]
+    base = StackyFan(Fan(len(comp), tuple(maximal_among(kept))),
+                     free_group(base_images.cols), base_images.entries)
     roots = []
-    for i, sub, g in parts:
+    for k, i in enumerate(zset):
+        g = math.gcd(*constraint.row(k))
         if g == 0:
-            bg_m += 1
             continue
-        vals = [row[i - 1] for row in sub.entries]
-        y = solve_integer(IntMatrix.from_rows([vals]), [g])
-        witness = tuple(sum(y[k] * sub.entries[k][j] for k in range(sub.rows))
-                        for j in range(n))
-        a = tuple(witness[j - 1] for j in comp)
-        a = reduce_mod_row_lattice(a, restricted)
-        roots.append(RootDatum(coordinate=i, order=g,
-                               exponents=tuple(-x for x in a)))
-    return GerbeData(bg_m_rank=bg_m, roots=tuple(roots), base=base)
+        # y combines the relations into one restricting to g e_i on the zero coordinates
+        y = solve_integer(constraint, [g if j == k else 0 for j in range(len(zset))])
+        if y is None:
+            raise PreconditionViolated(
+                "the relations on the zero coordinates do not split by coordinate, "
+                "so the band is not a product of one group per coordinate")
+        a = reduce_mod_row_lattice(surviving.apply(y), base_images.transpose())
+        roots.append(RootDatum(coordinate=i, order=g, exponents=tuple(-x for x in a)))
+    return GerbeData(bg_m_rank=len(zset) - len(roots), roots=tuple(roots), base=base)

@@ -15,6 +15,7 @@ its intersection relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .fgab import (
@@ -58,7 +59,7 @@ class StackyFan:
     def lattice_rank(self) -> int:
         return self.fan.ambient_rank
 
-    @property
+    @cached_property
     def beta(self) -> FgAbHom:
         return FgAbHom(
             free_group(self.lattice_rank), self.target,
@@ -270,7 +271,7 @@ def split_torus_factor(sf: StackyFan) -> tuple[StackyFan, int]:
     """
     n = sf.target.ngens
     rel = sf.target.relations()
-    d = snf(IntMatrix.from_columns(list(sf.beta_images), rows=n).hstack(rel))
+    d = snf(sf.beta.matrix.hstack(rel))
     # U maps the saturation basis U^-1[:, :r] onto the first r unit vectors,
     # so the first r rows of U give the coordinates in it of any column of
     # [B | Q], uniquely since that basis is saturated

@@ -16,11 +16,15 @@ from itertools import combinations, product
 
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
+    GerbeData,
     GmsResult,
     IsoResult,
+    RootDatum,
     _finite_kernel_mod_tau,
+    _moduli_preconditions,
     canonical_stack,
     fantastack,
+    gerbe_decomposition,
     gms_check,
     gms_construct,
     is_isomorphism,
@@ -55,7 +59,14 @@ from stackyfans.polyhedral import (
     primitive,
     validate_fan,
 )
-from stackyfans.stacky import StackyFan, StackyMorphism, gbeta, reduce_nonstrict, validate_morphism
+from stackyfans.stacky import (
+    StackyFan,
+    StackyMorphism,
+    _orthant_ray_indices,
+    gbeta,
+    reduce_nonstrict,
+    validate_morphism,
+)
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -63,6 +74,7 @@ from stackyfans.zlinalg import (
     hermite_row_form,
     kernel_basis,
     rank,
+    reduce_mod_row_lattice,
     row_rank,
     saturate,
     snf,
@@ -171,29 +183,34 @@ def _minor_gcd_invariants(m):
     return out
 
 
+def snf_contract_problems(m, dec):
+    """What the Smith form dec of m gets wrong, against the minor-gcd definition."""
+    problems = []
+    if dec.U @ m @ dec.V != dec.S:
+        problems.append("U m V != S")
+    if abs(determinant(dec.U)) != 1 or abs(determinant(dec.V)) != 1:
+        problems.append("transforms not unimodular")
+    if dec.U @ dec.Uinv != IntMatrix.identity(m.rows):
+        problems.append("Uinv is not the inverse of U")
+    diag = [dec.S.entries[i][i] for i in range(min(m.rows, m.cols))]
+    if any(dec.S.entries[i][j] for i in range(m.rows)
+           for j in range(m.cols) if i != j):
+        problems.append("S not diagonal")
+    nonzero = [d for d in diag if d]
+    if (any(d < 0 for d in diag) or diag[:len(nonzero)] != nonzero
+            or any(b % a for a, b in zip(nonzero, nonzero[1:]))):
+        problems.append("bad divisibility chain")
+    if nonzero != _minor_gcd_invariants(m):
+        problems.append("disagrees with minor gcds")
+    return problems
+
+
 def suite_snf_contracts(cases=500, seed=101):
     rng = random.Random(seed)
     failures = []
     for _ in range(cases):
         m = _rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
-        dec = snf(m)
-        problems = []
-        if dec.U @ m @ dec.V != dec.S:
-            problems.append("U m V != S")
-        if abs(determinant(dec.U)) != 1 or abs(determinant(dec.V)) != 1:
-            problems.append("transforms not unimodular")
-        if dec.U @ dec.Uinv != IntMatrix.identity(m.rows):
-            problems.append("Uinv is not the inverse of U")
-        diag = [dec.S.entries[i][i] for i in range(min(m.rows, m.cols))]
-        if any(dec.S.entries[i][j] for i in range(m.rows)
-               for j in range(m.cols) if i != j):
-            problems.append("S not diagonal")
-        nonzero = [d for d in diag if d]
-        if (any(d < 0 for d in diag) or diag[:len(nonzero)] != nonzero
-                or any(b % a for a, b in zip(nonzero, nonzero[1:]))):
-            problems.append("bad divisibility chain")
-        if nonzero != _minor_gcd_invariants(m):
-            problems.append("disagrees with minor gcds")
+        problems = snf_contract_problems(m, snf(m))
         if problems:
             failures.append(f"{m.entries}: {'; '.join(problems)}")
     return failures
@@ -1105,6 +1122,119 @@ def suite_monoid_iso_bruteforce(cases=500, seed=707):
 
 
 # ---------------------------------------------------------------------------
+# 8. gerbe decomposition against one kernel lattice per zero coordinate
+
+def _gerbe_per_coordinate(sf, zero_coordinates):
+    """Reference gerbe_decomposition: for each zero coordinate i, the
+    relations vanishing on the other zero coordinates, whose entries at i
+    generate R ∩ Z e_i; split check, base and witnesses all read off those
+    kernel lattices."""
+    idx = _moduli_preconditions(sf)
+    n = sf.lattice_rank
+    zset = sorted(set(int(i) for i in zero_coordinates))
+    for i in zset:
+        if not 1 <= i <= n:
+            raise ValueError(f"zero coordinate {i} outside 1..{n}")
+    if not any(set(zset) <= s for s in idx):
+        raise PreconditionViolated(
+            "zero coordinates do not index a face of any maximal cone")
+    comp = [i for i in range(1, n + 1) if i not in zset]
+    dual_rows = IntMatrix.from_columns(list(sf.beta_images), rows=sf.target.ngens).entries
+
+    def vanishing_sub(zero_at):
+        """Row basis of {v in N^ : v_j = 0 for j in zero_at}."""
+        if not zero_at:
+            return IntMatrix.from_rows(dual_rows, cols=n)
+        constraint = IntMatrix.from_rows(
+            [[row[j - 1] for row in dual_rows] for j in zero_at])
+        y = kernel_basis(constraint)
+        rows = [tuple(sum(y.entries[k][c] * dual_rows[k][j] for k in range(len(dual_rows)))
+                      for j in range(n))
+                for c in range(y.cols)]
+        return IntMatrix.from_rows(rows, cols=n)
+
+    parts = []
+    for i in zset:
+        sub = vanishing_sub([z for z in zset if z != i])
+        parts.append((i, sub, math.gcd(*(row[i - 1] for row in sub.entries))))
+    if any(row[i - 1] % g if g else row[i - 1] for row in dual_rows for i, _, g in parts):
+        raise PreconditionViolated(
+            "the relations on the zero coordinates do not split by coordinate, "
+            "so the band is not a product of one group per coordinate")
+
+    base_dual = vanishing_sub(zset)
+    mrank = base_dual.rows
+    base_cols = [tuple(base_dual.entries[k][j - 1] for k in range(mrank)) for j in comp]
+    kept_cones = set()
+    compset = set(comp)
+    reindex = {j: k for k, j in enumerate(comp)}
+    for c in sf.fan.maximal_cones:
+        ray_idx = {next(j for j, x in enumerate(r) if x != 0) + 1 for r in c.rays}
+        inner = sorted(ray_idx & compset)
+        rays = tuple(sorted(
+            tuple(1 if k == reindex[j] else 0 for k in range(len(comp))) for j in inner))
+        kept_cones.add(Cone(len(comp), rays))
+    base_fan = Fan(len(comp), tuple(maximal_among(list(kept_cones))))
+    base = StackyFan(base_fan, free_group(mrank), tuple(base_cols))
+    restricted = IntMatrix.from_rows(
+        [tuple(r[j - 1] for j in comp) for r in base_dual.entries], cols=len(comp))
+    bg_m = 0
+    roots = []
+    for i, sub, g in parts:
+        if g == 0:
+            bg_m += 1
+            continue
+        vals = [row[i - 1] for row in sub.entries]
+        y = solve_integer(IntMatrix.from_rows([vals]), [g])
+        witness = tuple(sum(y[k] * sub.entries[k][j] for k in range(sub.rows))
+                        for j in range(n))
+        a = reduce_mod_row_lattice(tuple(witness[j - 1] for j in comp), restricted)
+        roots.append(RootDatum(coordinate=i, order=g, exponents=tuple(-x for x in a)))
+    return GerbeData(bg_m_rank=bg_m, roots=tuple(roots), base=base)
+
+
+def _random_orthant_stacky_fan(rng):
+    """Smooth orthant fan on Z^n, n <= 6, with beta onto a free target of
+    rank <= n with finite cokernel, entries in [-4, 4]."""
+    n = rng.randint(1, 6)
+    unit = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    cones = [Cone(n, tuple(sorted(unit[i] for i in range(n) if rng.random() < 0.6)))
+             for _ in range(rng.randint(1, 3))]
+    fan = Fan(n, tuple(maximal_among(cones)))
+    r = rng.randint(0, n)
+    while True:
+        beta = _rand_matrix(rng, r, n, bound=4)
+        if rank(beta) == r:
+            return StackyFan(fan, free_group(r), tuple(beta.columns()))
+
+
+def _gerbe_outcome(f, sf, zeros):
+    try:
+        return f(sf, zeros)
+    except PreconditionViolated as e:
+        return f"refused: {e}"
+
+
+def suite_gerbe_reference(cases=600, seed=808):
+    rng = random.Random(seed)
+    failures = []
+    done = 0
+    while done < cases:
+        sf = _random_orthant_stacky_fan(rng)
+        face = sorted(rng.choice(_orthant_ray_indices(sf.fan)))
+        if not face:
+            continue
+        zeros = rng.sample(face, rng.randint(1, min(4, len(face))))
+        got = _gerbe_outcome(gerbe_decomposition, sf, zeros)
+        want = _gerbe_outcome(_gerbe_per_coordinate, sf, zeros)
+        if got != want:
+            failures.append(f"{sf.beta_images} {sf.fan.maximal_cones} zeros {zeros}: "
+                            f"got {got}, reference {want}")
+        done += 1
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # references for the routes that now read one Smith form
 
 def _split_torus_factor_solving(sf):
@@ -1146,4 +1276,5 @@ ALL_SUITES = (
     ("product verdicts", suite_product_verdicts),
     ("moduli of fantastacks", suite_gms_fantastack_roundtrip),
     ("monoid iso brute force", suite_monoid_iso_bruteforce),
+    ("gerbe against per-coordinate kernels", suite_gerbe_reference),
 )

@@ -124,8 +124,21 @@ def test_fantastack_preconditions():
         fantastack(QUAD_FAN, [(1, 0), (1, 1)])
     assert e.value.condition == "ray_coverage"
     with pytest.raises(FantastackPreconditionViolated) as e:
-        fantastack(QUAD_FAN, [(1, 0), (0, 1), (-1, 0)])
+        fantastack(QUAD_FAN, [(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert e.value.condition == "support"
+    assert str(e.value) == "image (-1, 0) lies outside the fan's support"
+    with pytest.raises(FantastackPreconditionViolated) as e:
+        fantastack(Fan(0, ()), [()])
+    assert e.value.condition == "support"
+    assert str(e.value) == "fan has no cones but images exist"
+
+
+def test_fantastack_tests_each_membership_once(monkeypatch):
+    fan = Fan(2, (_cone((1, 0), (1, 1)), _cone((1, 1), (0, 1))))
+    calls = count_calls(monkeypatch, polyhedral.cone_contains)
+    fantastack(fan, [(1, 0), (1, 1), (0, 1)])
+    # one test per (maximal cone, image) pair serves the support check and the hats
+    assert len(calls) == 2 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +697,34 @@ def test_gerbe_trivial_direction():
     assert gd.bg_m_rank == 0
     assert gd.roots[0].order == 1
     assert gd.roots[0].exponents == (0,)
+
+
+ORTHANT4 = Fan(4, (_cone((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),))
+SPLIT_SF = _sf(ORTHANT4, free_group(3), [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+
+
+def test_gerbe_two_coordinates_split_into_roots():
+    gd = gerbe_decomposition(SPLIT_SF, (1, 2))
+    assert gd.bg_m_rank == 0
+    assert [(r.coordinate, r.order, r.exponents) for r in gd.roots] == [
+        (1, 2, (0, -1)), (2, 3, (0, -1))]
+    assert gd.base.fan == QUAD_FAN
+    assert gd.base.beta_images == ((5,), (1,))
+
+
+def test_gerbe_three_coordinates_split_into_roots():
+    gd = gerbe_decomposition(SPLIT_SF, (1, 2, 3))
+    assert gd.bg_m_rank == 0
+    assert [(r.coordinate, r.order, r.exponents) for r in gd.roots] == [
+        (1, 2, (-1,)), (2, 3, (-1,)), (3, 5, (-1,))]
+
+
+def test_gerbe_makes_one_smith_form_per_root_plus_one(monkeypatch):
+    smith = count_calls(monkeypatch, zlinalg.snf)
+    gerbe_decomposition(SPLIT_SF, (1, 2, 3))
+    # one for the smoothness of the maximal cone; then the gerbe's own four:
+    # the base's kernel and one solve per coordinate with g_i != 0
+    assert len(smith) == 1 + 4
 
 
 def test_gerbe_needs_cone_membership():

@@ -33,3 +33,7 @@ def test_gms_fantastack_roundtrip():
 
 def test_monoid_iso_bruteforce():
     assert ps.suite_monoid_iso_bruteforce() == []
+
+
+def test_gerbe_reference():
+    assert ps.suite_gerbe_reference() == []

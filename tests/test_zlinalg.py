@@ -2,17 +2,22 @@
 
 The Smith form is checked against an independent oracle: the k-th
 diagonal entry must equal D_k/D_{k-1}, where D_k is the gcd of all k x k
-minors.  The oracle uses its own cofactor determinant so it shares no
-code with the implementation.
+minors.  The oracle and the contract check are shared with the seeded
+suite in property_suites; the oracle uses its own cofactor determinant so
+it shares no code with the implementation.
 """
 
 import math
 import random
-from itertools import combinations
 
 import pytest
 
-from property_suites import determinant, normalized_group
+from property_suites import (
+    _minor_gcd_invariants,
+    determinant,
+    normalized_group,
+    snf_contract_problems,
+)
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -27,53 +32,9 @@ from stackyfans.zlinalg import (
 )
 
 
-def _cofactor_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _cofactor_det(minor)
-        total += -term if j % 2 else term
-    return total
-
-
-def minor_gcd_invariants(m: IntMatrix) -> list:
-    """Invariant factors straight from the definition."""
-    out = []
-    prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
-        g = 0
-        for ri in combinations(range(m.rows), k):
-            for ci in combinations(range(m.cols), k):
-                sub = [[m.entries[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, abs(_cofactor_det(sub)))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
-
-
 def _check_snf_contract(m: IntMatrix):
     dec = snf(m)
-    assert dec.U @ m @ dec.V == dec.S
-    assert abs(determinant(dec.U)) == 1
-    assert abs(determinant(dec.V)) == 1
-    assert dec.U @ dec.Uinv == IntMatrix.identity(m.rows)
-    diag = [dec.S.entries[i][i] for i in range(min(m.rows, m.cols))]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert dec.S.entries[i][j] == 0
-    assert all(d >= 0 for d in diag)
-    nonzero = [d for d in diag if d]
-    assert diag[:len(nonzero)] == nonzero, "zeros must come last"
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
+    assert snf_contract_problems(m, dec) == []
     return dec
 
 
@@ -85,7 +46,7 @@ def test_snf_matches_minor_gcd_oracle():
         m = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
         dec = _check_snf_contract(m)
-        assert list(dec.invariant_factors) == minor_gcd_invariants(m)
+        assert list(dec.invariant_factors) == _minor_gcd_invariants(m)
 
 
 def test_snf_frozen_example():
