@@ -55,7 +55,6 @@ from typing import Any, Sequence
 
 from .constructions import (
     FantastackPreconditionViolated,
-    NotSmooth,
     canonical_stack,
     cox_presentation,
     fantastack,
@@ -605,10 +604,10 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"{args.input}: cannot read input: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         print(f"{args.input}: invalid JSON: {e}", file=sys.stderr)
         return 2
     if not hasattr(args, "zeros"):
@@ -619,7 +618,7 @@ def run_command(argv: Sequence[str]) -> int:
     except InputError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (MalformedHom, NotStronglyConvex, NotSubfanOfAffineSpace, NotSmooth,
+    except (MalformedHom, NotStronglyConvex, NotSubfanOfAffineSpace,
             PreconditionViolated, UnsupportedRank,
             FantastackPreconditionViolated, ValueError) as e:
         print(f"{args.input}: {type(e).__name__}: {e}", file=sys.stderr)
@@ -632,8 +631,12 @@ def run_command(argv: Sequence[str]) -> int:
     else:
         out = "\n".join(text) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as e:
+            print(f"{args.output}: cannot write output: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0

@@ -22,7 +22,6 @@ from .polyhedral import (
     cone_contains,
     faces,
     fan_rays,
-    is_smooth_cone,
     is_unstable,
     maps_onto,
     maximal_among,
@@ -44,18 +43,12 @@ from .zlinalg import (
     IntMatrix,
     Vec,
     cokernel_presentation,
-    kernel_basis,
     rank,
     reduce_mod_row_lattice,
     row_rank,
     saturate,
     snf,
-    solve_integer,
 )
-
-
-class NotSmooth(Exception):
-    """Raised when an operation needs smooth cones and finds one that isn't."""
 
 
 class FantastackPreconditionViolated(Exception):
@@ -341,9 +334,7 @@ class ModuliDescription:
 
 
 def _moduli_preconditions(sf: StackyFan) -> list[set[int]]:
-    for c in sf.fan.maximal_cones:
-        if not is_smooth_cone(c):
-            raise NotSmooth(f"cone with rays {c.rays} is singular")
+    # orthant cones are smooth: distinct standard basis vectors extend to a basis
     idx = _orthant_ray_indices(sf.fan)
     if sf.target.torsion:
         raise PreconditionViolated("moduli reading needs a free target")
@@ -406,6 +397,12 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     when g_i = 0 and a g_i-th root otherwise, whose exponents are minus the
     surviving entries of a relation restricting to g_i e_i, reduced modulo
     the base's relations.
+
+    One Smith form U A V = S of the constraint matrix A (one row per zero
+    coordinate, one column per relation) gives the base and every root:
+    with r invariant factors f_j, the base's relations are the columns of
+    V past r, and A y = g_i e_i is solvable exactly when c = g_i U e_i has
+    f_j | c_j below r and c_j = 0 from r on, with y = V (c_j / f_j, 0...).
     """
     idx = _moduli_preconditions(sf)
     n = sf.lattice_rank
@@ -421,8 +418,11 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
     comp = [j for j in range(1, n + 1) if j not in zset]
     constraint = coeffs.submatrix([i - 1 for i in zset], range(coeffs.cols))
     surviving = coeffs.submatrix([j - 1 for j in comp], range(coeffs.cols))
+    d = snf(constraint)
+    factors = d.invariant_factors
+    r = len(factors)
     # the base's relations are those vanishing on every zero coordinate
-    base_images = surviving @ kernel_basis(constraint)
+    base_images = surviving @ d.V.submatrix(range(d.V.rows), range(r, d.V.cols))
     unit = {j: tuple(1 if k == p else 0 for k in range(len(comp))) for p, j in enumerate(comp)}
     kept = [Cone(len(comp), tuple(sorted(unit[j] for j in s if j in unit))) for s in idx]
     base = StackyFan(Fan(len(comp), tuple(maximal_among(kept))),
@@ -432,12 +432,13 @@ def gerbe_decomposition(sf: StackyFan, zero_coordinates: Sequence[int]) -> Gerbe
         g = math.gcd(*constraint.row(k))
         if g == 0:
             continue
-        # y combines the relations into one restricting to g e_i on the zero coordinates
-        y = solve_integer(constraint, [g if j == k else 0 for j in range(len(zset))])
-        if y is None:
+        c = [g * x for x in d.U.column(k)]
+        if any(x % f for x, f in zip(c, factors)) or any(c[r:]):
             raise PreconditionViolated(
                 "the relations on the zero coordinates do not split by coordinate, "
                 "so the band is not a product of one group per coordinate")
+        # y combines the relations into one restricting to g e_i on the zero coordinates
+        y = d.V.apply([x // f for x, f in zip(c, factors)] + [0] * (d.V.cols - r))
         a = reduce_mod_row_lattice(surviving.apply(y), base_images.transpose())
         roots.append(RootDatum(coordinate=i, order=g, exponents=tuple(-x for x in a)))
     return GerbeData(bg_m_rank=len(zset) - len(roots), roots=tuple(roots), base=base)

@@ -226,17 +226,6 @@ def faces(c: Cone) -> list[Cone]:
     return [Cone(c.ambient_rank, rs) for rs in sorted(found, key=_size_order)]
 
 
-def _extends_to_basis(m: IntMatrix) -> bool:
-    """Do the columns of m extend to a lattice basis (full rank, invariant factors 1)?"""
-    factors = snf(m).invariant_factors
-    return len(factors) == m.cols and all(f == 1 for f in factors)
-
-
-def is_smooth_cone(c: Cone) -> bool:
-    """Rays extend to a basis of the ambient lattice."""
-    return _extends_to_basis(IntMatrix.from_columns(c.rays, rows=c.ambient_rank))
-
-
 def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
     """Extreme rays of the intersection of two pointed cones, sorted.
 

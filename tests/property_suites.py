@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from typing import Optional, Sequence
 
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
@@ -70,16 +71,49 @@ from stackyfans.stacky import (
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
+    Vec,
     cokernel_presentation,
     hermite_row_form,
-    kernel_basis,
     rank,
     reduce_mod_row_lattice,
     row_rank,
     saturate,
     snf,
-    solve_integer,
 )
+
+
+
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Basis of the integer kernel {v : M v = 0}, as columns.
+
+    The span is saturated automatically (kernels of integer maps are).
+    """
+    d = snf(m)
+    r = len(d.invariant_factors)
+    cols = [d.V.column(j) for j in range(r, m.cols)]
+    return IntMatrix.from_columns(cols, rows=m.cols)
+
+
+def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
+    """One integer solution of M x = b, or None."""
+    if len(b) != m.rows:
+        raise ValueError("rhs length mismatch")
+    d = snf(m)
+    c = d.U.apply(b)
+    r = len(d.invariant_factors)
+    y = []
+    for i in range(m.cols):
+        if i < r:
+            f = d.invariant_factors[i]
+            if c[i] % f != 0:
+                return None
+            y.append(c[i] // f)
+        else:
+            y.append(0)
+    for i in range(r, m.rows):
+        if c[i] != 0:
+            return None
+    return d.V.apply(y)
 
 
 def _rand_matrix(rng, rows, cols, bound=10):

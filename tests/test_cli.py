@@ -92,6 +92,40 @@ def test_missing_file(capsys, tmp_path):
     assert "absent.json" in err
 
 
+def test_input_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"lattice_rank": "\xe9"}')
+    code, out, err = _run(capsys, "gbeta", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{path}: cannot read input: ") and err.count("\n") == 1
+
+
+def test_input_nested_too_deep(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = _run(capsys, "gbeta", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{path}: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dest", ["absent/report.json", "."], ids=["missing_dir", "directory"])
+def test_unwritable_output(capsys, tmp_path, dest):
+    dest = tmp_path / dest
+    code, out, err = _run(capsys, "gbeta", "--input", FIXTURES / "a1.json", "--output", dest)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{dest}: cannot write output: ") and err.count("\n") == 1
+
+
+def test_non_orthant_fan_gets_one_refusal(capsys):
+    path = FIXTURES / "a1_variety.json"
+    errs = set()
+    for argv in (["present"], ["moduli"], ["gerbe", "--zeros", "1"]):
+        code, out, err = _run(capsys, *argv, "--input", path)
+        assert (code, out) == (2, "")
+        errs.add(err)
+    assert errs == {f"{path}: NotSubfanOfAffineSpace: ray (1, 2) is not a standard basis vector\n"}
+
+
 def test_unknown_command(capsys):
     assert _run(capsys, "frobnicate", "--input", FIXTURES / "a1.json")[0] == 2
 

@@ -33,7 +33,6 @@ from stackyfans import constructions, polyhedral, zlinalg
 from stackyfans.constructions import (
     FantastackPreconditionViolated,
     GmsResult,
-    NotSmooth,
     _finite_kernel_mod_tau,
     canonical_stack,
     cox_presentation,
@@ -60,7 +59,7 @@ from stackyfans.polyhedral import (
     maps_into_fan,
     monoid_iso_on_cone,
 )
-from stackyfans.stacky import StackyFan, StackyMorphism
+from stackyfans.stacky import NotSubfanOfAffineSpace, StackyFan, StackyMorphism
 from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate, snf
 
 
@@ -564,11 +563,10 @@ def test_finite_kernel_mod_tau_matches_kernel_lattice_reference():
 
 def test_gms_check_builds_no_kernel_lattice(monkeypatch):
     cases = [m for _, m in _verdict_morphisms(random.Random(61), 200)]
-    kernels = count_calls(monkeypatch, zlinalg.kernel_basis)
     saturations = count_calls(monkeypatch, zlinalg.saturate)
     reached = sum(gms_check(m).failing_condition in (None, "4") for m in cases)
     assert reached >= 20
-    assert (kernels, saturations) == ([], [])
+    assert saturations == []
 
 
 def test_verdicts_on_success_read_only_the_maximal_cones(monkeypatch):
@@ -658,8 +656,18 @@ def test_moduli_forced_zero():
 
 def test_moduli_rejects_singular():
     sf = _sf(A1_CONE_FAN, free_group(2), [(1, 0), (0, 1)])
-    with pytest.raises(NotSmooth):
+    with pytest.raises(NotSubfanOfAffineSpace):
         moduli_description(sf)
+
+
+def test_moduli_makes_no_smith_form(monkeypatch):
+    # orthant cones are smooth, so nothing is factored
+    fan = Fan(3, (_cone((1, 0, 0), (0, 1, 0)), _cone((1, 0, 0), (0, 0, 1)),
+                  _cone((0, 1, 0), (0, 0, 1))))
+    sf = _sf(fan, free_group(2), [(1, 0), (0, 1), (-1, -1)])
+    smith = count_calls(monkeypatch, zlinalg.snf)
+    moduli_description(sf)
+    assert smith == []
 
 
 def test_moduli_rejects_torsion_target():
@@ -719,12 +727,14 @@ def test_gerbe_three_coordinates_split_into_roots():
         (1, 2, (-1,)), (2, 3, (-1,)), (3, 5, (-1,))]
 
 
-def test_gerbe_makes_one_smith_form_per_root_plus_one(monkeypatch):
+def test_gerbe_makes_one_smith_form(monkeypatch):
     smith = count_calls(monkeypatch, zlinalg.snf)
-    gerbe_decomposition(SPLIT_SF, (1, 2, 3))
-    # one for the smoothness of the maximal cone; then the gerbe's own four:
-    # the base's kernel and one solve per coordinate with g_i != 0
-    assert len(smith) == 1 + 4
+    hermite = count_calls(monkeypatch, zlinalg.hermite_row_form)
+    gd = gerbe_decomposition(SPLIT_SF, (1, 2, 3))
+    # the base's relations and all three roots come from one factorization;
+    # each root reduces its exponents by one Hermite form
+    assert len(smith) == 1
+    assert len(hermite) == len(gd.roots) == 3
 
 
 def test_gerbe_needs_cone_membership():

@@ -16,7 +16,9 @@ from property_suites import (
     _triangle_sequences,
     count_calls,
     induced_g1_hom,
+    kernel_basis,
     normalized_group,
+    solve_integer,
     verify_exact,
 )
 
@@ -33,7 +35,7 @@ from stackyfans.fgab import (
     is_surjective,
     mapping_cone_dual,
 )
-from stackyfans.zlinalg import IntMatrix, cokernel_presentation, kernel_basis, solve_integer
+from stackyfans.zlinalg import IntMatrix, cokernel_presentation
 
 
 def hom(source, target, rows):

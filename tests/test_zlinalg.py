@@ -15,20 +15,20 @@ import pytest
 from property_suites import (
     _minor_gcd_invariants,
     determinant,
+    kernel_basis,
     normalized_group,
     snf_contract_problems,
+    solve_integer,
 )
 from stackyfans.zlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_presentation,
     hermite_row_form,
-    kernel_basis,
     rank,
     reduce_mod_row_lattice,
     saturate,
     snf,
-    solve_integer,
 )
 
 
