@@ -38,9 +38,8 @@ for ``g1_tail`` the in-process CLI calls ``gbeta``, ``split`` and
 ``cox``, each of which must exit 0.
 
 Each measurement runs five times, or fewer once the runs of one size have
-taken 20 s (the slowest sizes before fan validation started from a known
-cone took 40 s a run); every function cache of the package is cleared
-before each run.  The output records, per size, the median wall
+taken 20 s; every function cache of the package is cleared before each
+run.  The output records, per size, the median wall
 time, the number of runs and, for one run, the number of calls of the
 family's counted functions: ``halfspace_intersection``, or for ``g1_tail``
 and ``cox_zero`` ``hermite_row_form`` and ``snf`` (every binding in the

@@ -2,17 +2,17 @@
 
 Cones are stored by their sorted primitive extreme rays, which is a
 canonical form for strongly convex cones.  The workhorse is one incremental
-double-description routine (:func:`halfspace_intersection`) with two
-starting points.  Dualizing a generator set starts from all of Z^n; a cone
-runs it once, and its extreme rays and pointedness are read off the
-generator-facet incidences of that one pass.  Intersecting two cones starts
-from the first cone and adds only the constraints of the second, skipping
-those no current ray violates, so a cone inside the other costs no
-combination step.  Every ray carries its zero set, the bitmask of the
-constraints it lies on, updated incrementally; a (+, -) pair of rays is
-combined only when no third ray lies on all their shared constraints (the
-combinatorial adjacency test of Fukuda & Prodon 1996), which keeps the ray
-set exactly the extreme rays at every step with no rank computation.
+double-description routine (:func:`halfspace_intersection`) that starts
+from all of Z^n.  A cone runs it once over its generators, and its extreme
+rays and pointedness are read off the generator-facet incidences of that
+one pass; intersecting two cones runs it once over the facets and equations
+of both.  Every ray carries its zero set, the bitmask of the constraints it
+lies on, updated incrementally; a (+, -) pair of rays is combined only when
+no third ray lies on all their shared constraints (the combinatorial
+adjacency test of Fukuda & Prodon 1996), which keeps the ray set exactly
+the extreme rays at every step with no rank computation.  A fan whose rays
+are linearly independent is validated from its ray sets, with no double
+description at all.
 
 Derived structure lives on the immutable values and is computed once per
 value: a cone keeps its H-representation (equations and facet normals).
@@ -32,7 +32,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .zlinalg import IntMatrix, Vec, snf
+from .zlinalg import IntMatrix, Vec, row_rank, snf
 
 
 class NotStronglyConvex(Exception):
@@ -62,14 +62,10 @@ def primitive(v: Sequence[int]) -> Optional[Vec]:
     return tuple(x // g for x in v)
 
 
-def halfspace_intersection(normals: Sequence[Vec], dim: int,
-                           start: Optional[Cone] = None) -> tuple[list[Vec], list[Vec]]:
+def halfspace_intersection(normals: Sequence[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of {x : n . x >= 0 for all n}.
 
-    Adds the halfspaces one at a time to a starting cone: all of Z^dim when
-    ``start`` is None, else the pointed cone ``start`` (its rays, which must
-    be its extreme rays, with its facets and +- equations as the constraints
-    already seen), so that the result is ``start`` cut by the normals.
+    Adds the halfspaces one at a time, starting from all of Z^dim.
 
     Each ray carries its zero set, the bitmask of the seen constraints it
     lies on.  A constraint that meets the lineality space turns one line
@@ -83,18 +79,9 @@ def halfspace_intersection(normals: Sequence[Vec], dim: int,
     (Fukuda & Prodon 1996, Prop. 7), so the rays stay exactly the extreme
     rays at every step and nothing needs pruning.
     """
-    if start is None:
-        lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        rays: list[tuple[Vec, int]] = []
-        nseen = 0
-    else:
-        eqs, facets = start.h_representation
-        # the facets come first; every ray lies on the +- equations after them
-        nseen = len(facets) + 2 * len(eqs)
-        on_eqs = (1 << nseen) - (1 << len(facets))
-        lineality = []
-        rays = [(r, on_eqs | sum(1 << k for k, n in enumerate(facets) if _dot(n, r) == 0))
-                for r in start.rays]
+    lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[Vec, int]] = []
+    nseen = 0
     for raw in normals:
         a = tuple(map(int, raw))
         if not any(a):
@@ -229,15 +216,15 @@ def faces(c: Cone) -> list[Cone]:
 def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
     """Extreme rays of the intersection of two pointed cones, sorted.
 
-    One double description, started from a and cut by the facets and
-    equations of b.  When a lies in b no ray of a violates a constraint of b,
-    so the answer is the rays of a without any combination step.
+    One double description over the facets and +- equations of a, then of b.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient mismatch")
-    eqs, facets = b.h_representation
-    constraints = list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
-    return halfspace_intersection(constraints, a.ambient_rank, start=a)[1]
+    constraints = []
+    for c in (a, b):
+        eqs, facets = c.h_representation
+        constraints += list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
+    return halfspace_intersection(constraints, a.ambient_rank)[1]
 
 
 def minimal_face_containing(c: Cone, v: Sequence) -> tuple[Vec, ...]:
@@ -291,29 +278,40 @@ class FanDiagnostics:
 def validate_fan(fan: Fan) -> FanDiagnostics:
     """Check the two fan axioms; diagnostics are values, not exceptions.
 
-    One intersection per pair of maximal cones decides both axioms: a cone
-    lies in another exactly when their intersection is the cone itself, and
-    two cones meet properly when the intersection is a face of each.
-    Containment problems come first, over ordered pairs.
+    When the fan rays are linearly independent, every cone is the face of
+    the simplicial cone they span on its own rays, and two faces of a
+    simplicial cone meet in the face on their shared rays.  So the cones
+    always meet properly, and a cone lies in another exactly when its rays
+    are among the other's.  Otherwise one intersection per pair of maximal
+    cones decides both axioms: a cone lies in another exactly when their
+    intersection is the cone itself, and two cones meet properly when the
+    intersection is a face of each.  Containment problems come first, over
+    ordered pairs.
     """
     mc = fan.maximal_cones
+    rays = fan_rays(fan)
     contained = []
     improper = []
-    for i in range(len(mc)):
-        for j in range(i + 1, len(mc)):
-            a, b = mc[i], mc[j]
-            want = tuple(intersect_cones(a, b))
-            contained += [(x, y) for x, y in ((i, j), (j, i)) if mc[x].rays == want]
-            if want:
-                probe = tuple(sum(col) for col in zip(*want))
-            else:
-                probe = (0,) * fan.ambient_rank
-            fa = minimal_face_containing(a, probe)
-            fb = minimal_face_containing(b, probe)
-            if fa != want or fb != want:
-                improper.append(
-                    f"cones {i} and {j} do not meet along a common face "
-                    f"(intersection rays {want})")
+    if len(mc) < 2 or row_rank(rays) == len(rays):
+        sets = [set(c.rays) for c in mc]
+        contained = [(i, j) for i, s in enumerate(sets) for j, t in enumerate(sets)
+                     if i != j and s <= t]
+    else:
+        for i in range(len(mc)):
+            for j in range(i + 1, len(mc)):
+                a, b = mc[i], mc[j]
+                want = tuple(intersect_cones(a, b))
+                contained += [(x, y) for x, y in ((i, j), (j, i)) if mc[x].rays == want]
+                if want:
+                    probe = tuple(sum(col) for col in zip(*want))
+                else:
+                    probe = (0,) * fan.ambient_rank
+                fa = minimal_face_containing(a, probe)
+                fb = minimal_face_containing(b, probe)
+                if fa != want or fb != want:
+                    improper.append(
+                        f"cones {i} and {j} do not meet along a common face "
+                        f"(intersection rays {want})")
     problems = [f"cone {i} with rays {mc[i].rays} is contained in cone {j}"
                 for i, j in sorted(contained)] + improper
     return FanDiagnostics(valid=not problems, problems=tuple(problems))

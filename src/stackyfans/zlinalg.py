@@ -40,14 +40,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
+        data = tuple(map(tuple, rows))
         if cols is None:
             cols = len(data[0]) if data else 0
         return IntMatrix(len(data), cols, data)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        data = [tuple(int(x) for x in c) for c in cols]
+        data = [tuple(c) for c in cols]
         if rows is None:
             rows = len(data[0]) if data else 0
         entries = tuple(tuple(c[i] for c in data) for i in range(rows))

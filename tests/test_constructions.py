@@ -601,11 +601,11 @@ def test_gms_construct_reads_the_maximal_cones(monkeypatch):
     budget = 3 * len(sf.fan.maximal_cones)
     calls = []
 
-    def counting(normals, dim, start=None):
+    def counting(normals, dim):
         calls.append(dim)
         if len(calls) > budget:
             raise AssertionError(f"more than {budget} double descriptions")
-        return halfspace_intersection(normals, dim, start)
+        return halfspace_intersection(normals, dim)
 
     monkeypatch.setattr(polyhedral, "halfspace_intersection", counting)
     res = gms_construct(sf)

@@ -16,11 +16,13 @@ from property_suites import (
 )
 from stackyfans import polyhedral, zlinalg
 from stackyfans.polyhedral import (
+    Cone,
     Fan,
     NotStronglyConvex,
     canonicalize_cone,
     halfspace_intersection,
     intersect_cones,
+    maximal_among,
     validate_fan,
 )
 from stackyfans.zlinalg import row_rank
@@ -108,6 +110,26 @@ def test_intersect_cones_matches_reference():
     assert zero >= 250 and lower >= 1500 and met >= 900 and contained >= 600
 
 
+def _orthant_face_fan(rng):
+    """Faces of one orthant of Z^1 to Z^6, so linearly independent rays: a
+    fan about half the time, else with duplicate cones, nested faces or the
+    zero cone."""
+    n = rng.randint(1, 6)
+    basis = [tuple(rng.choice((-1, 1)) * (j == i) for j in range(n)) for i in range(n)]
+    cones = [Cone(n, tuple(sorted(rng.sample(basis, rng.randint(0, n)))))
+             for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.5:
+        return Fan(n, tuple(maximal_among(cones)))
+    if rng.random() < 0.5:
+        cones.append(rng.choice(cones))
+    if rng.random() < 0.5:
+        c = rng.choice(cones)
+        cones.append(Cone(n, tuple(sorted(rng.sample(c.rays, rng.randint(0, len(c.rays)))))))
+    if rng.random() < 0.2:
+        cones.append(Cone(n, ()))
+    return Fan(n, tuple(cones))
+
+
 def test_validate_fan_matches_pairwise_reference():
     rng = random.Random(47)
     invalid = contained = nonsimplicial = 0
@@ -127,27 +149,60 @@ def test_validate_fan_matches_pairwise_reference():
         invalid += not got.valid
         contained += any("contained" in p for p in want)
     assert invalid >= 500 and contained >= 400 and nonsimplicial >= 300
+    invalid = contained = 0
+    for _ in range(600):
+        fan = _orthant_face_fan(rng)
+        got = validate_fan(fan)
+        want = _validate_fan_pairwise(fan)
+        assert got.problems == want and got.valid == (not want), fan
+        invalid += not got.valid
+        contained += sum("contained" in p for p in want)
+    assert 200 <= invalid <= 400 and contained >= 2000
 
 
-def test_validate_fan_starts_every_intersection_from_a_cone(monkeypatch):
-    def no_rank(rows):
-        raise AssertionError("a double description reached row_rank")
+def _p1_power_fans(m):
+    """The variety fan of (P^1)^m (the orthants of Z^m, rays +-e_j) and its
+    Cox fan, loaded as the CLI loads it: coordinates 2j and 2j + 1 of Z^2m
+    stand for the rays e_j and -e_j."""
+    variety, cox = [], []
+    for bits in itertools.product((0, 1), repeat=m):
+        variety.append(canonicalize_cone([tuple((-1) ** bit * (k == j) for k in range(m))
+                                          for j, bit in enumerate(bits)]))
+        cox.append(canonicalize_cone([tuple(int(k == 2 * j + bit) for k in range(2 * m))
+                                      for j, bit in enumerate(bits)]))
+    return Fan(m, tuple(variety)), Fan(2 * m, tuple(cox))
 
-    monkeypatch.setattr(zlinalg, "row_rank", no_rank)
-    assert "row_rank" not in vars(polyhedral)
-    # the Cox fan of (P^1)^4, loaded as the CLI loads it: coordinates 2j and
-    # 2j + 1 of Z^8 stand for the rays e_j and -e_j of Z^4
-    fan = Fan(8, tuple(
-        canonicalize_cone([tuple(int(k == 2 * j + bit) for k in range(8))
-                           for j, bit in enumerate(bits)])
-        for bits in itertools.product((0, 1), repeat=4)))
-    starts = []
 
-    def counting(normals, dim, start=None):
-        starts.append(start)
-        return halfspace_intersection(normals, dim, start)
+def test_validate_fan_runs_no_double_description_on_independent_rays(monkeypatch):
+    variety, cox = _p1_power_fans(4)
+    calls = {"dd": 0, "rank": 0}
+    inside = []
 
-    monkeypatch.setattr(polyhedral, "halfspace_intersection", counting)
-    assert validate_fan(fan).valid
-    assert len(starts) == 16 * 15 // 2
-    assert all(s in fan.maximal_cones for s in starts)
+    def counting_dd(normals, dim):
+        calls["dd"] += 1
+        inside.append(dim)
+        try:
+            return halfspace_intersection(normals, dim)
+        finally:
+            inside.pop()
+
+    def counting_rank(rows):
+        if inside:
+            raise AssertionError("a double description reached row_rank")
+        calls["rank"] += 1
+        return row_rank(rows)
+
+    monkeypatch.setattr(polyhedral, "halfspace_intersection", counting_dd)
+    monkeypatch.setattr(polyhedral, "row_rank", counting_rank)
+    monkeypatch.setattr(zlinalg, "row_rank", counting_rank)
+    # 8 dependent rays in Z^4: one intersection per pair of the 16 orthants
+    assert validate_fan(variety).valid
+    assert calls == {"dd": 16 * 15 // 2, "rank": 1}
+    # 8 independent rays in Z^8: ray sets alone
+    calls.update(dd=0, rank=0)
+    assert validate_fan(cox).valid
+    assert calls == {"dd": 0, "rank": 1}
+    # one maximal cone: nothing to compare
+    calls.update(dd=0, rank=0)
+    assert validate_fan(Fan(4, variety.maximal_cones[:1])).valid
+    assert calls == {"dd": 0, "rank": 0}

@@ -135,9 +135,9 @@ def test_line_witness_lies_in_the_lineality_space():
 def test_canonicalize_runs_one_double_description(monkeypatch):
     calls = []
 
-    def counting(normals, dim, start=None):
+    def counting(normals, dim):
         calls.append(dim)
-        return halfspace_intersection(normals, dim, start)
+        return halfspace_intersection(normals, dim)
 
     monkeypatch.setattr(polyhedral, "halfspace_intersection", counting)
     for gens in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 0), (-1, 0)], [(0, 0)], []):

@@ -202,3 +202,7 @@ def test_intmatrix_basics():
         IntMatrix(1, 1, ((True,),))
     with pytest.raises(ValueError):
         a @ IntMatrix.identity(3)
+    for build in (IntMatrix.from_rows, IntMatrix.from_columns):
+        for bad in (2.7, True):
+            with pytest.raises(ValueError, match="plain ints"):
+                build([[bad, 1]])
