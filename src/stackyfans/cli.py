@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Any, Sequence
 
@@ -281,7 +280,8 @@ _HALF = _VIEW // 2
 _SPAN = 180
 
 
-def _fmt(x: Fraction) -> str:
+def _fmt(x) -> str:
+    """A fraction rounded to two decimals, halves up."""
     n = x.numerator * 100
     d = x.denominator
     q = n // d
@@ -299,6 +299,9 @@ def render_fan_svg(sf: StackyFan) -> str:
     rays become arrows, and when the target is free of rank two the beta
     images are drawn as numbered dots at their lattice positions.
     """
+    # imported here: fractions pulls in decimal, which no other command needs
+    from fractions import Fraction
+
     if sf.lattice_rank != 2:
         raise UnsupportedRank(
             f"can only render fans on a rank 2 lattice, got rank {sf.lattice_rank}")

@@ -16,7 +16,16 @@ The centerpiece is :func:`mapping_cone_dual`: for a homomorphism
     G_beta = ker(T_{free replacement} -> T_N)
 
 presented diagonally, i.e. the cokernel of the transposed strictification
-together with the weight matrix of the induced action on ``A^l``.
+together with the weight matrix of the induced action on ``A^l``.  The
+group and the torsion weights come from one Smith form of that cokernel.
+The free weights span the kernel lattice
+
+    W = {w in Z^l : B_free w = 0, B_tors w = 0 mod d},
+
+the projection to Z^l of ker [B | Q], and are its row Hermite form, read
+off one Hermite form of the small matrix [[B^T | I], [Q^T | 0]] (Cohen 1993,
+section 2.4) rather than from the Smith transform, whose rows can carry
+over a thousand digits.
 """
 
 from __future__ import annotations
@@ -186,15 +195,22 @@ def _g1_data(beta: FgAbHom) -> MappingConeDual:
     group, proj = cokernel_presentation(bt.transpose())
     f = group.free_rank
     ell = beta.source.free_rank
-    raw = proj.submatrix(range(group.ngens), range(ell)).entries
-    # free rows: the row Hermite form of their lattice; torsion rows (already
-    # reduced mod d): the least unit multiple
-    free_rows, _ = hermite_row_form(IntMatrix.from_rows(raw[:f], cols=ell))
+    r = bt.rows
+    # free rows: they span W, the projection to Z^l of ker [B | Q] (injective:
+    # the columns of Q are independent).  The row lattice of the full-rank
+    # [[B^T | I], [Q^T | 0]] is {(B x + Q y, x)}, and its Hermite form ends in
+    # the rows (0 | w) that span its part with B x + Q y = 0: those w are the
+    # Hermite form of W.
+    tagged = bt.transpose().hstack(IntMatrix.from_rows(
+        [[int(i == j) for j in range(ell)] for i in range(bt.cols)], cols=ell))
+    free_rows = [row[r:] for row in hermite_row_form(tagged)[0].entries if not any(row[:r])]
+    # torsion rows (already reduced mod d): the least unit multiple
+    raw = proj.submatrix(range(f, group.ngens), range(ell)).entries
     torsion_rows = []
-    for row, d in zip(raw[f:], group.torsion):
+    for row, d in zip(raw, group.torsion):
         u = _unit_for_row(row, d)
         torsion_rows.append(tuple(u * x % d for x in row))
-    weights = IntMatrix.from_rows(free_rows.entries + tuple(torsion_rows), cols=ell)
+    weights = IntMatrix.from_rows(free_rows + torsion_rows, cols=ell)
     # the cokernel of bt^T has free rank bt.cols - rank(bt)
     return MappingConeDual(g0_rank=beta.target.ngens - bt.cols + group.free_rank,
                            g1=DiagGroupPresentation(group, weights))
@@ -207,8 +223,9 @@ def mapping_cone_dual(beta: FgAbHom) -> MappingConeDual:
     presentation of G^1: its character group is the cokernel of the
     transposed free replacement of beta, and the weight matrix restricts the
     cokernel projection to the first l coordinates.  Weights are normalized
-    by an automorphism of the character group: the free rows are replaced by
-    the row Hermite form of their row lattice, and each torsion row is
-    scaled to its lexicographic minimum among unit multiples.
+    by an automorphism of the character group: the free rows are the row
+    Hermite form of the lattice W they span, the w in Z^l with
+    B_free w = 0 and B_tors w = 0 mod d, and each torsion row is scaled to
+    its lexicographic minimum among unit multiples.
     """
     return _g1_data(beta)

@@ -3,9 +3,10 @@
 Cones are stored by their sorted primitive extreme rays, which is a
 canonical form for strongly convex cones.  The workhorse is one incremental
 double-description routine (:func:`halfspace_intersection`) that starts
-from all of Z^n.  A cone runs it once over its generators, and its extreme
-rays and pointedness are read off the generator-facet incidences of that
-one pass; intersecting two cones runs it once over the facets and equations
+from all of Z^n.  A cone with dependent generators runs it once over them,
+and its extreme rays and pointedness are read off the generator-facet
+incidences of that one pass (independent generators are already the extreme
+rays); intersecting two cones runs it once over the facets and equations
 of both.  Every ray carries its zero set, the bitmask of the constraints it
 lies on, updated incrementally; a (+, -) pair of rays is combined only when
 no third ray lies on all their shared constraints (the combinatorial
@@ -169,7 +170,10 @@ def cone_contains(c: Cone, v: Sequence) -> bool:
 def canonicalize_cone(generators: Sequence[Sequence[int]], ambient_rank: Optional[int] = None) -> Cone:
     """Cone from an arbitrary generating set; raises NotStronglyConvex.
 
-    One double-description pass over the primitive generators gives the
+    Linearly independent generators are the extreme rays of a simplicial
+    cone, so they need no double description; the cone computes its
+    H-representation when something asks for it.  Otherwise one
+    double-description pass over the primitive generators gives the
     equations and facet normals; the rest is read off the facets Z(g)
     vanishing on each generator g.  A generator on every facet lies in the
     lineality space, so the cone contains a line.  Otherwise the minimal
@@ -185,6 +189,8 @@ def canonicalize_cone(generators: Sequence[Sequence[int]], ambient_rank: Optiona
     if any(len(g) != ambient_rank for g in gens):
         raise ValueError("mixed ambient ranks in generating set")
     prims = sorted({p for p in map(primitive, gens) if p is not None})
+    if row_rank(prims) == len(prims):
+        return Cone(ambient_rank, tuple(prims))
     eqs, facets = _h_representation(prims, ambient_rank)
     tight = {g: {n for n in facets if _dot(n, g) == 0} for g in prims}
     for g, z in tight.items():

@@ -330,36 +330,47 @@ def cokernel_presentation(m: IntMatrix) -> tuple[FgAbGroup, IntMatrix]:
     return group, proj
 
 
+def _least_entry_row(h: list[list[int]], c: int, start: int) -> Optional[int]:
+    """First row from start on whose entry in column c is least nonzero in size."""
+    best, row = 0, None
+    for i in range(start, len(h)):
+        x = abs(h[i][c])
+        if x and (row is None or x < best):
+            best, row = x, i
+    return row
+
+
 def hermite_row_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form H = T @ M with T unimodular.
 
     Pivots are positive, entries above a pivot lie in [0, pivot), zero rows
     sink to the bottom.  H is the unique such echelon form of the row
     lattice, which is what makes it usable as a canonical form.
+
+    Each column is cleared below the pivot by rounds of Euclid: the row with
+    the least nonzero entry becomes the pivot and every row below takes its
+    nearest remainder, at most half the pivot.  Pairwise Euclid, one row
+    against the pivot at a time, lets intermediate entries reach thousands
+    of digits on lattices whose form has a dozen.
     """
     rows, cols = m.rows, m.cols
     h = [list(r) for r in m.entries]
     t = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if h[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        p = _least_entry_row(h, c, r)
+        if p is None:
             continue
-        if pivot_row != r:
-            h[r], h[pivot_row] = h[pivot_row], h[r]
-            t[r], t[pivot_row] = t[pivot_row], t[r]
-        for i in range(r + 1, rows):
-            while h[i][c] != 0:
-                if abs(h[i][c]) < abs(h[r][c]):
-                    h[r], h[i] = h[i], h[r]
-                    t[r], t[i] = t[i], t[r]
-                q = h[i][c] // h[r][c]
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+        while p is not None:
+            h[r], h[p] = h[p], h[r]
+            t[r], t[p] = t[p], t[r]
+            pivot = h[r][c]
+            for i in range(r + 1, rows):
+                if h[i][c] != 0:
+                    q = (2 * h[i][c] + pivot) // (2 * pivot)
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+            p = _least_entry_row(h, c, r + 1)
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
             t[r] = [-x for x in t[r]]

@@ -151,6 +151,26 @@ def determinant(m):
     return sign * a[n - 1][n - 1]
 
 
+def row_hermite_problems(rows):
+    """Why the rows are not in row Hermite form (empty when they are)."""
+    problems = []
+    last = -1
+    for k, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x != 0), None)
+        if c is None:
+            if any(any(r) for r in rows[k:]):
+                problems.append(f"zero row {k} above a nonzero row")
+            break
+        if c <= last:
+            problems.append(f"row {k} does not step right")
+        if row[c] <= 0:
+            problems.append(f"pivot of row {k} is not positive")
+        if any(not 0 <= above[c] < row[c] for above in rows[:k]):
+            problems.append(f"entries above the pivot of row {k} are not reduced")
+        last = c
+    return problems
+
+
 def count_calls(monkeypatch, fn):
     """Patch a counting wrapper into every stackyfans namespace binding fn.
 

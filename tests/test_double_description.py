@@ -195,9 +195,11 @@ def test_validate_fan_runs_no_double_description_on_independent_rays(monkeypatch
     monkeypatch.setattr(polyhedral, "halfspace_intersection", counting_dd)
     monkeypatch.setattr(polyhedral, "row_rank", counting_rank)
     monkeypatch.setattr(zlinalg, "row_rank", counting_rank)
-    # 8 dependent rays in Z^4: one intersection per pair of the 16 orthants
+    # 8 dependent rays in Z^4: one intersection per pair of the 16 orthants,
+    # after each orthant computes its H-representation (the loader ran no DD
+    # on their independent rays)
     assert validate_fan(variety).valid
-    assert calls == {"dd": 16 * 15 // 2, "rank": 1}
+    assert calls == {"dd": 16 + 16 * 15 // 2, "rank": 1}
     # 8 independent rays in Z^8: ray sets alone
     calls.update(dd=0, rank=0)
     assert validate_fan(cox).valid

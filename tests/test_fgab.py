@@ -18,6 +18,7 @@ from property_suites import (
     induced_g1_hom,
     kernel_basis,
     normalized_group,
+    row_hermite_problems,
     solve_integer,
     verify_exact,
 )
@@ -35,7 +36,7 @@ from stackyfans.fgab import (
     is_surjective,
     mapping_cone_dual,
 )
-from stackyfans.zlinalg import IntMatrix, cokernel_presentation
+from stackyfans.zlinalg import IntMatrix, cokernel_presentation, hermite_row_form, rank
 
 
 def hom(source, target, rows):
@@ -188,8 +189,74 @@ def test_weights_match_the_change_of_basis_reference():
     assert all(largest[s] > 10 ** 4 for s in ("cyclic", "mixed", "non-cyclic"))
 
 
+def _g1_tail_beta(ell, seed):
+    """The ``g1_tail`` beta of scripts/scaling.py: Z^l -> Z^(l/3) + Z/d with
+    entries in [-99, 99], whose Smith transform rows reach 1000 digits."""
+    rng = random.Random(seed)
+    f = ell // 3
+    rows = [[rng.randint(-99, 99) for _ in range(ell)] for _ in range(f + 1)]
+    target = FgAbGroup(f, (rng.choice((45, 60, 210)),))
+    return FgAbHom(free_group(ell), target, IntMatrix.from_rows(rows, cols=ell))
+
+
+def _weights_by_smith_rows(beta):
+    """Reference: the free rows of the Smith transform of the cokernel, then
+    the row Hermite form of their lattice; torsion rows as published."""
+    group, proj = cokernel_presentation(fgab._strictification(beta).transpose())
+    f, ell = group.free_rank, beta.source.free_rank
+    raw = proj.submatrix(range(group.ngens), range(ell)).entries
+    free_rows, _ = hermite_row_form(IntMatrix.from_rows(raw[:f], cols=ell))
+    torsion_rows = tuple(tuple(_unit_for_row(row, d) * x % d for x in row)
+                         for row, d in zip(raw[f:], group.torsion))
+    return group, IntMatrix.from_rows(free_rows.entries + torsion_rows, cols=ell)
+
+
+def _weight_cases():
+    rng = random.Random(53)
+    return ([_shaped_beta(rng) for _ in range(200)]
+            + [_g1_tail_beta(ell, seed) for ell in (10, 14, 18) for seed in range(5)])
+
+
+def test_weights_match_the_smith_rows_reference():
+    large = 0
+    for beta in _weight_cases():
+        mc = mapping_cone_dual(beta)
+        assert (mc.g1.group, mc.g1.weights) == _weights_by_smith_rows(beta), beta.matrix.entries
+        large += max(mc.g1.group.torsion, default=0) > 10 ** 4
+    assert large >= 20
+
+
+def test_free_weights_are_the_hermite_form_of_the_kernel_projection():
+    """Definition: the free rows w satisfy B_free w = 0 and B_tors w = 0 mod d,
+    are in row Hermite form, and number l - rank(B_free)."""
+    for beta in _weight_cases():
+        g1 = mapping_cone_dual(beta).g1
+        ft, ell = beta.target.free_rank, beta.source.free_rank
+        free = g1.weights.entries[:g1.group.free_rank]
+        for w in free:
+            image = beta.matrix.apply(w)
+            assert not any(image[:ft]), (beta.matrix.entries, w)
+            assert all(x % d == 0 for x, d in zip(image[ft:], beta.target.torsion)), w
+        assert row_hermite_problems(free) == [] and all(map(any, free)), beta.matrix.entries
+        b_free = IntMatrix.from_rows(beta.matrix.entries[:ft], cols=ell)
+        assert len(free) == ell - rank(b_free), beta.matrix.entries
+
+
+def test_mapping_cone_dual_hands_small_matrices_to_hermite_form(monkeypatch):
+    """The Smith transform rows of these beta carry over 1000 digits; the
+    matrix whose Hermite form gives the weights carries beta and d only."""
+    hermite = count_calls(monkeypatch, zlinalg.hermite_row_form)
+    for ell in (20, 24):
+        for seed in range(5):
+            fgab._g1_data.cache_clear()
+            del hermite[:]
+            mapping_cone_dual(_g1_tail_beta(ell, seed))
+            (m,), = hermite
+            assert max(abs(x) for row in m.entries for x in row) < 10 ** 6, (ell, seed)
+
+
 def test_mapping_cone_dual_reads_one_smith_form(monkeypatch):
-    """A fresh G_beta is one Smith form, one Hermite form of the free rows
+    """A fresh G_beta is one Smith form, one Hermite form for the free rows
     and no separate rank."""
     smith = count_calls(monkeypatch, zlinalg.snf)
     hermite = count_calls(monkeypatch, zlinalg.hermite_row_form)

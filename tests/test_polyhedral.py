@@ -78,6 +78,49 @@ def _canonicalize_two_pass(gens, n):
     return tuple(rays), (tuple(eqs), tuple(facets))
 
 
+def _canonicalize_by_dd(gens, n):
+    """Reference: the one-DD route for every generating set, independent or not."""
+    prims = sorted({p for p in map(primitive, gens) if p is not None})
+    eqs, facets = halfspace_intersection(prims, n)
+    tight = {g: {f for f in facets if sum(a * b for a, b in zip(f, g)) == 0} for g in prims}
+    for g, z in tight.items():
+        if len(z) == len(facets):
+            raise NotStronglyConvex(f"cone contains the line through {g}")
+    rays = tuple(g for g, z in tight.items() if not any(zh > z for zh in tight.values()))
+    return rays, (tuple(eqs), tuple(facets))
+
+
+def test_independent_generators_match_dd_reference(monkeypatch):
+    """Independent generators, with multiples, repeats, zero vectors or none
+    at all, give the reference's rays and H-representation with no DD."""
+    calls = count_calls(monkeypatch, halfspace_intersection)
+    rng = random.Random(43)
+    sizes = set()
+    for _ in range(800):
+        n = rng.randint(0, 6)
+        k = rng.randint(0, n)
+        basis = []
+        while len(basis) < k:
+            g = tuple(rng.randint(-4, 4) for _ in range(n))
+            if row_rank(basis + [g]) > len(basis):
+                basis.append(g)
+        gens = list(basis)
+        for _ in range(rng.randint(0, 3)):
+            if basis:
+                c = rng.randint(1, 3)
+                gens.append(tuple(c * x for x in rng.choice(basis)))
+        if rng.random() < 0.3:
+            gens.append((0,) * n)
+        rng.shuffle(gens)
+        want = _canonicalize_by_dd(gens, n)
+        del calls[:]
+        c = canonicalize_cone(gens, ambient_rank=n)
+        assert calls == [], gens
+        assert (c.rays, c.h_representation) == want, gens
+        sizes.add(len(c.rays))
+    assert sizes == set(range(7))
+
+
 def _random_generators(rng):
     """Small generating sets: lower-dimensional, with zeros and repeats."""
     n = rng.randint(1, 5)
@@ -133,6 +176,9 @@ def test_line_witness_lies_in_the_lineality_space():
 
 
 def test_canonicalize_runs_one_double_description(monkeypatch):
+    """Dependent generators take one double description (DD).  Independent
+    ones, the zero vector and the empty set take none: the cone runs its one
+    DD only when something asks for its H-representation."""
     calls = []
 
     def counting(normals, dim):
@@ -140,13 +186,18 @@ def test_canonicalize_runs_one_double_description(monkeypatch):
         return halfspace_intersection(normals, dim)
 
     monkeypatch.setattr(polyhedral, "halfspace_intersection", counting)
-    for gens in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 0), (-1, 0)], [(0, 0)], []):
+    for gens, dds in (([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 1), ([(1, 0), (-1, 0)], 1),
+                      ([(2, 0), (0, 3), (0, 1)], 0), ([(0, 0)], 0), ([], 0)):
         calls.clear()
         try:
-            canonicalize_cone(gens, ambient_rank=len(gens[0]) if gens else 2)
+            c = canonicalize_cone(gens, ambient_rank=len(gens[0]) if gens else 2)
         except NotStronglyConvex:
-            pass
-        assert len(calls) == 1, gens
+            c = None
+        assert len(calls) == dds, gens
+        if c is not None:
+            c.h_representation
+            c.h_representation
+            assert len(calls) == 1, gens
 
 
 def test_halfspace_intersection_quadrant():

@@ -17,6 +17,7 @@ from property_suites import (
     determinant,
     kernel_basis,
     normalized_group,
+    row_hermite_problems,
     snf_contract_problems,
     solve_integer,
 )
@@ -130,6 +131,56 @@ def test_hermite_row_form():
     m2 = IntMatrix.from_rows([[2, 2, 1], [8, 6, -2]])
     h2, _ = hermite_row_form(m2)
     assert h2.entries == h.entries
+
+
+def _hermite_by_pairwise_euclid(m):
+    """Reference: the row Hermite form by pairwise Euclid against the pivot row."""
+    rows, cols = m.rows, m.cols
+    h = [list(r) for r in m.entries]
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if h[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        h[r], h[pivot_row] = h[pivot_row], h[r]
+        for i in range(r + 1, rows):
+            while h[i][c] != 0:
+                if abs(h[i][c]) < abs(h[r][c]):
+                    h[r], h[i] = h[i], h[r]
+                q = h[i][c] // h[r][c]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        r += 1
+        if r == rows:
+            break
+    return IntMatrix.from_rows(h, cols)
+
+
+def test_hermite_row_form_matches_pairwise_reference():
+    """Same H on rank-deficient, repeated-row and empty shapes; T unimodular."""
+    rng = random.Random(47)
+    deficient = 0
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        if rng.random() < 0.5:
+            # combinations of fewer rows than the shape allows
+            basis = [[rng.randint(-9, 9) for _ in range(cols)]
+                     for _ in range(rng.randint(0, max(min(rows, cols) - 1, 0)))]
+            entries = [[sum(c * b[j] for c, b in zip(mult, basis)) for j in range(cols)]
+                       for mult in ([rng.randint(-3, 3) for _ in basis] for _ in range(rows))]
+        else:
+            entries = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+        m = IntMatrix.from_rows(entries, cols=cols)
+        h, t = hermite_row_form(m)
+        assert h == _hermite_by_pairwise_euclid(m), m.entries
+        assert row_hermite_problems(h.entries) == [], m.entries
+        assert t @ m == h and abs(determinant(t)) == 1, m.entries
+        deficient += rank(m) < min(rows, cols)
+    assert deficient >= 300
 
 
 def test_reduce_mod_row_lattice():
