@@ -10,6 +10,10 @@ Families and sizes:
   in Z^l, l = 8, 12, 18, 24, with beta the identity of Z^l;
 * ``p1_cox``: Cox data of (P^1)^m, m = 3..6: 2^m orthant cones of m rays in
   Z^2m, beta sending e_2j and e_2j+1 to +e_j and -e_j of Z^m;
+* ``p1_variety``: the variety fan of (P^1)^m, m = 3..6: the 2^m orthants of
+  Z^m, rays +-e_j, with beta the identity of Z^m (validation only; its
+  rays are dependent, so ``validate_fan`` decides pairs by separating
+  functionals, and the ``intersect_cones`` calls count the pairs left over);
 * ``kgon``: the fantastack of the cone over the lattice k-gon, k = 7, 10,
   16: one k-ray cone in Z^k, beta sending e_i to (1, i, i^2);
 * ``p1_morphism``: the morphism from the ``p1_cox`` data to the toric
@@ -41,7 +45,8 @@ Each measurement runs five times, or fewer once the runs of one size have
 taken 20 s; every function cache of the package is cleared before each
 run.  The output records, per size, the median wall
 time, the number of runs and, for one run, the number of calls of the
-family's counted functions: ``halfspace_intersection``, or for ``g1_tail``
+family's counted functions: ``halfspace_intersection`` (and for
+``p1_variety`` also ``intersect_cones``), or for ``g1_tail``
 and ``cox_zero`` ``hermite_row_form`` and ``snf`` (every binding in the
 package is counted).
 """
@@ -84,14 +89,17 @@ def _p1_cox(m: int) -> dict:
             "target": {"rank": m, "torsion": []}, "beta_images": images}
 
 
-def _p1_morphism(m: int) -> dict:
-    source = _p1_cox(m)
+def _p1_variety(m: int) -> dict:
     cones = [[[s * x for x in _unit(m, j)] for j, s in enumerate(signs)]
              for signs in itertools.product((1, -1), repeat=m)]
-    target = {"lattice_rank": m, "fan": {"maximal_cones": cones},
-              "target": {"rank": m, "torsion": []},
-              "beta_images": [_unit(m, j) for j in range(m)]}
-    return {"source": source, "target": target, "Phi_images": source["beta_images"],
+    return {"lattice_rank": m, "fan": {"maximal_cones": cones},
+            "target": {"rank": m, "torsion": []},
+            "beta_images": [_unit(m, j) for j in range(m)]}
+
+
+def _p1_morphism(m: int) -> dict:
+    source = _p1_cox(m)
+    return {"source": source, "target": _p1_variety(m), "Phi_images": source["beta_images"],
             "phi_images": [_unit(m, j) for j in range(m)]}
 
 
@@ -126,6 +134,8 @@ FORMS = (zlinalg.hermite_row_form, zlinalg.snf)
 FAMILIES = {
     "orthant": (_orthant, (8, 12, 18, 24), STACKY_FAN, DD),
     "p1_cox": (_p1_cox, (3, 4, 5, 6), STACKY_FAN, DD),
+    "p1_variety": (_p1_variety, (3, 4, 5, 6), ("validate",),
+                   DD + (polyhedral.intersect_cones,)),
     "kgon": (_kgon, (7, 10, 16), STACKY_FAN, DD),
     "p1_morphism": (_p1_morphism, (3, 4, 5, 6), MORPHISM, DD),
     "g1_tail": (_g1_tail, [(ell, seed) for ell in (10, 14, 18, 20, 24) for seed in range(8)],

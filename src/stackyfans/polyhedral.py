@@ -13,7 +13,10 @@ no third ray lies on all their shared constraints (the combinatorial
 adjacency test of Fukuda & Prodon 1996), which keeps the ray set exactly
 the extreme rays at every step with no rank computation.  A fan whose rays
 are linearly independent is validated from its ray sets, with no double
-description at all.
+description at all.  Otherwise each pair of maximal cones is first decided
+by a separating functional read off bitmasks over the fan rays (one per
+facet normal and +- equation of each cone); only the pairs that certificate
+cannot decide run an intersection.
 
 Derived structure lives on the immutable values and is computed once per
 value: a cone keeps its H-representation (equations and facet normals).
@@ -219,6 +222,12 @@ def faces(c: Cone) -> list[Cone]:
     return [Cone(c.ambient_rank, rs) for rs in sorted(found, key=_size_order)]
 
 
+def _constraints(c: Cone) -> list[Vec]:
+    """The facet normals and +- equations of c: functionals >= 0 on c that cut it out."""
+    eqs, facets = c.h_representation
+    return list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
+
+
 def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
     """Extreme rays of the intersection of two pointed cones, sorted.
 
@@ -226,11 +235,7 @@ def intersect_cones(a: Cone, b: Cone) -> list[Vec]:
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient mismatch")
-    constraints = []
-    for c in (a, b):
-        eqs, facets = c.h_representation
-        constraints += list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))]
-    return halfspace_intersection(constraints, a.ambient_rank)[1]
+    return halfspace_intersection(_constraints(a) + _constraints(b), a.ambient_rank)[1]
 
 
 def minimal_face_containing(c: Cone, v: Sequence) -> tuple[Vec, ...]:
@@ -288,11 +293,26 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     the simplicial cone they span on its own rays, and two faces of a
     simplicial cone meet in the face on their shared rays.  So the cones
     always meet properly, and a cone lies in another exactly when its rays
-    are among the other's.  Otherwise one intersection per pair of maximal
-    cones decides both axioms: a cone lies in another exactly when their
-    intersection is the cone itself, and two cones meet properly when the
-    intersection is a face of each.  Containment problems come first, over
-    ordered pairs.
+    are among the other's.
+
+    Otherwise each pair (a, b) of maximal cones first tries a separating
+    functional (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).  Every
+    facet normal and +- equation of a cone is a constraint >= 0 on it; a
+    constraint of a that is <= 0 on every ray of b qualifies, and so does a
+    constraint of b that is <= 0 on every ray of a.  The sum m of the qualifying constraints of a minus
+    those of b is >= 0 on a and <= 0 on b, so a and b meet inside m = 0, in
+    faces of each.  On either cone all terms of m have one sign, so m
+    vanishes on a ray of it exactly when every qualifying constraint does:
+    those faces are spanned by the rays of a and of b in the set ``on``
+    where all qualifying constraints vanish.  When the two ray sets agree,
+    a and b meet in that common face, and a cone lies in the other exactly
+    when all its rays are shared.  Each constraint carries two bitmasks
+    over the fan rays (where it is zero, where it is <= 0), so a pair costs
+    a few mask operations.  A pair the certificate cannot decide runs one
+    intersection: a cone lies in another exactly when their intersection
+    is the cone itself, and two cones meet properly when the intersection
+    is a face of each.  Containment problems come first, over ordered
+    pairs.
     """
     mc = fan.maximal_cones
     rays = fan_rays(fan)
@@ -303,8 +323,32 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
         contained = [(i, j) for i, s in enumerate(sets) for j, t in enumerate(sets)
                      if i != j and s <= t]
     else:
+        bits = [(r, 1 << k) for k, r in enumerate(rays)]
+        own = [sum(b for r, b in bits if r in c.rays) for c in mc]
+        masks = []  # per cone: (zero mask, nonpositive mask) of each constraint
+        for c in mc:
+            cm = []
+            for n in _constraints(c):
+                zero = nonpos = 0
+                for r, b in bits:
+                    t = _dot(n, r)
+                    if t <= 0:
+                        nonpos |= b
+                        if t == 0:
+                            zero |= b
+                cm.append((zero, nonpos))
+            masks.append(cm)
         for i in range(len(mc)):
             for j in range(i + 1, len(mc)):
+                on = -1  # every fan ray
+                for x, y in ((i, j), (j, i)):
+                    for zero, nonpos in masks[x]:
+                        if own[y] & ~nonpos == 0:
+                            on &= zero
+                shared = own[i] & on
+                if shared == own[j] & on:
+                    contained += [(x, y) for x, y in ((i, j), (j, i)) if own[x] == shared]
+                    continue
                 a, b = mc[i], mc[j]
                 want = tuple(intersect_cones(a, b))
                 contained += [(x, y) for x, y in ((i, j), (j, i)) if mc[x].rays == want]

@@ -192,6 +192,12 @@ def present_quotient(sf: StackyFan, fixed_coordinates: Sequence[int] = ()) -> Qu
 
 
 @dataclass(frozen=True)
+class MorphismDiagnostics:
+    valid: bool
+    problems: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class StackyMorphism:
     """Pair of maps (Phi on lattices of fans, phi on targets)."""
 
@@ -200,37 +206,36 @@ class StackyMorphism:
     Phi: IntMatrix
     phi: FgAbHom
 
-
-@dataclass(frozen=True)
-class MorphismDiagnostics:
-    valid: bool
-    problems: tuple[str, ...]
+    @cached_property
+    def diagnostics(self) -> MorphismDiagnostics:
+        """Shapes, the commuting square and the cone condition, checked once per morphism."""
+        problems = []
+        ls, lt = self.source.lattice_rank, self.target.lattice_rank
+        if self.Phi.rows != lt or self.Phi.cols != ls:
+            problems.append(
+                f"Phi is {self.Phi.rows}x{self.Phi.cols}, expected {lt}x{ls}")
+            return MorphismDiagnostics(False, tuple(problems))
+        if self.phi.source != self.source.target or self.phi.target != self.target.target:
+            problems.append("phi endpoints do not match the stacky fan targets")
+            return MorphismDiagnostics(False, tuple(problems))
+        bs, bt = self.source.beta, self.target.beta
+        for i in range(ls):
+            e = tuple(1 if k == i else 0 for k in range(ls))
+            left = self.phi.apply(bs.apply(e))
+            right = bt.apply(self.Phi.apply(e))
+            if left != right:
+                problems.append(
+                    f"square does not commute on basis vector {i + 1}: "
+                    f"phi(beta(e)) = {left}, beta'(Phi(e)) = {right}")
+        for c in self.source.fan.maximal_cones:
+            if not maps_into_fan(self.Phi, c, self.target.fan):
+                problems.append(
+                    f"image of cone with rays {c.rays} lies in no target cone")
+        return MorphismDiagnostics(valid=not problems, problems=tuple(problems))
 
 
 def validate_morphism(m: StackyMorphism) -> MorphismDiagnostics:
-    problems = []
-    ls, lt = m.source.lattice_rank, m.target.lattice_rank
-    if m.Phi.rows != lt or m.Phi.cols != ls:
-        problems.append(
-            f"Phi is {m.Phi.rows}x{m.Phi.cols}, expected {lt}x{ls}")
-        return MorphismDiagnostics(False, tuple(problems))
-    if m.phi.source != m.source.target or m.phi.target != m.target.target:
-        problems.append("phi endpoints do not match the stacky fan targets")
-        return MorphismDiagnostics(False, tuple(problems))
-    bs, bt = m.source.beta, m.target.beta
-    for i in range(ls):
-        e = tuple(1 if k == i else 0 for k in range(ls))
-        left = m.phi.apply(bs.apply(e))
-        right = bt.apply(m.Phi.apply(e))
-        if left != right:
-            problems.append(
-                f"square does not commute on basis vector {i + 1}: "
-                f"phi(beta(e)) = {left}, beta'(Phi(e)) = {right}")
-    for c in m.source.fan.maximal_cones:
-        if not maps_into_fan(m.Phi, c, m.target.fan):
-            problems.append(
-                f"image of cone with rays {c.rays} lies in no target cone")
-    return MorphismDiagnostics(valid=not problems, problems=tuple(problems))
+    return m.diagnostics
 
 
 def reduce_nonstrict(sf: StackyFan) -> tuple[StackyFan, tuple[int, ...]]:

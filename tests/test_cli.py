@@ -9,7 +9,13 @@ import sys
 
 import pytest
 
-from property_suites import _random_polyhedral_stacky_fan, _random_stacky_fan, _unstable_all_cones
+from property_suites import (
+    _random_polyhedral_stacky_fan,
+    _random_stacky_fan,
+    _unstable_all_cones,
+    count_calls,
+)
+from stackyfans import polyhedral
 from stackyfans.cli import _COMMANDS, MAX_RANK, _sf_json, run_command
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -77,6 +83,16 @@ def test_validate_detects_morphism_files(capsys):
                         FIXTURES / "p1_cox_morphism.json", "--json")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("command", ["iso", "gms-check"])
+def test_morphism_requests_validate_the_morphism_once(capsys, monkeypatch, command):
+    # the loader validates the morphism and the verdict reuses that result,
+    # so maps_into_fan runs once per source maximal cone (three here)
+    calls = count_calls(monkeypatch, polyhedral.maps_into_fan)
+    code, _, err = _run(capsys, command, "--input", FIXTURES / "p2_cox_morphism.json", "--json")
+    assert code == 0, err
+    assert len(calls) == 3
 
 
 def test_malformed_input_names_file_and_field(capsys):

@@ -271,12 +271,16 @@ def test_iso_rejects_collapse_to_point():
 
 
 def test_iso_rejects_invalid_morphism():
+    # gms_check refuses it too, with the same text
     source = _sf(PUNCTURED, free_group(1), [(1,), (-1,)])
     target = _sf(P1_FAN, free_group(1), [(1,)])
     broken = StackyMorphism(source, target, IntMatrix.from_rows([[1, 1]]),
                             identity_hom(free_group(1)))
-    with pytest.raises(PreconditionViolated):
-        is_isomorphism(broken)
+    for check in (is_isomorphism, gms_check):
+        with pytest.raises(PreconditionViolated) as e:
+            check(broken)
+        assert str(e.value) == ("not a morphism of stacky fans: square does not commute on "
+                                "basis vector 2: phi(beta(e)) = (-1,), beta'(Phi(e)) = (1,)")
 
 
 # ---------------------------------------------------------------------------

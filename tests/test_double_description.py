@@ -160,6 +160,73 @@ def test_validate_fan_matches_pairwise_reference():
     assert 200 <= invalid <= 400 and contained >= 2000
 
 
+def _complete_fan_cones(kind, n):
+    """Ray lists of the maximal cones of a complete fan in Z^n: the variety
+    fan of (P^1)^n ("p1", the orthants), of P^n ("pn", every n of e_1, ...,
+    e_n and -(e_1 + ... + e_n)), or the cones over the facets of the cube
+    [-1, 1]^n ("cube", not simplicial for n >= 3)."""
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if kind == "p1":
+        return [[tuple(s * x for x in unit[j]) for j, s in enumerate(signs)]
+                for signs in itertools.product((1, -1), repeat=n)]
+    if kind == "pn":
+        return [list(c) for c in itertools.combinations(unit + [(-1,) * n], n)]
+    return [[v for v in itertools.product((-1, 1), repeat=n) if v[i] == s]
+            for i in range(n) for s in (-1, 1)]
+
+
+def _random_unimodular(rng, n):
+    """Rows of a random matrix in GL_n(Z): signed row swaps and shears."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j or rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_validate_fan_certificate_matches_pairwise_reference(monkeypatch):
+    """Complete fans moved by GL_n(Z), half of them with an extra cone that
+    overlaps them or is spanned by some rays of one of their cones: both the
+    certificate and its fallback run."""
+    rng = random.Random(53)
+    fallbacks = []
+
+    def counting_intersect(a, b):
+        fallbacks.append((a, b))
+        return intersect_cones(a, b)
+
+    monkeypatch.setattr(polyhedral, "intersect_cones", counting_intersect)
+    pairs = not_face = 0
+    for i in range(240):
+        kind = ("p1", "pn", "cube")[i % 3]
+        n = rng.randint(3, 4) if kind == "cube" else rng.randint(1, 4)
+        move = _random_unimodular(rng, n)
+        cones = [canonicalize_cone([[sum(a * b for a, b in zip(row, r)) for row in move]
+                                    for r in rays], ambient_rank=n)
+                 for rays in _complete_fan_cones(kind, n)]
+        if i % 4 == 1:
+            cones.append(_random_pointed_cone(rng, n))
+        elif i % 4 == 3:
+            rays = rng.choice(cones).rays
+            cones.append(canonicalize_cone(rng.sample(rays, rng.randint(0, len(rays))),
+                                           ambient_rank=n))
+        fan = Fan(n, tuple(cones))
+        got = validate_fan(fan)
+        want = _validate_fan_pairwise(fan)
+        assert got.problems == want, fan
+        # a moved fan is a fan; it is complete, so any extra cone breaks it
+        assert got.valid == (i % 2 == 0), fan
+        pairs += len(cones) * (len(cones) - 1) // 2
+        not_face += i % 4 == 3 and any("common face" in p for p in want)
+    # 5249 pairs, 200 of them fall back; 9 extra cones lie in a cone but not as a face
+    assert pairs - len(fallbacks) >= 2000 and len(fallbacks) >= 50 and not_face >= 5
+
+
 def _p1_power_fans(m):
     """The variety fan of (P^1)^m (the orthants of Z^m, rays +-e_j) and its
     Cox fan, loaded as the CLI loads it: coordinates 2j and 2j + 1 of Z^2m
@@ -175,7 +242,7 @@ def _p1_power_fans(m):
 
 def test_validate_fan_runs_no_double_description_on_independent_rays(monkeypatch):
     variety, cox = _p1_power_fans(4)
-    calls = {"dd": 0, "rank": 0}
+    calls = {"dd": 0, "rank": 0, "intersect": 0}
     inside = []
 
     def counting_dd(normals, dim):
@@ -192,19 +259,32 @@ def test_validate_fan_runs_no_double_description_on_independent_rays(monkeypatch
         calls["rank"] += 1
         return row_rank(rows)
 
+    def counting_intersect(a, b):
+        calls["intersect"] += 1
+        return intersect_cones(a, b)
+
     monkeypatch.setattr(polyhedral, "halfspace_intersection", counting_dd)
     monkeypatch.setattr(polyhedral, "row_rank", counting_rank)
     monkeypatch.setattr(zlinalg, "row_rank", counting_rank)
-    # 8 dependent rays in Z^4: one intersection per pair of the 16 orthants,
-    # after each orthant computes its H-representation (the loader ran no DD
-    # on their independent rays)
+    monkeypatch.setattr(polyhedral, "intersect_cones", counting_intersect)
+    # 8 dependent rays in Z^4: each orthant computes its H-representation
+    # (the loader ran no DD on their independent rays), and the separating
+    # functionals decide all 120 pairs with no intersection
     assert validate_fan(variety).valid
-    assert calls == {"dd": 16 + 16 * 15 // 2, "rank": 1}
+    assert calls == {"dd": 16, "rank": 1, "intersect": 0}
     # 8 independent rays in Z^8: ray sets alone
     calls.update(dd=0, rank=0)
     assert validate_fan(cox).valid
-    assert calls == {"dd": 0, "rank": 1}
+    assert calls == {"dd": 0, "rank": 1, "intersect": 0}
     # one maximal cone: nothing to compare
     calls.update(dd=0, rank=0)
     assert validate_fan(Fan(4, variety.maximal_cones[:1])).valid
-    assert calls == {"dd": 0, "rank": 0}
+    assert calls == {"dd": 0, "rank": 0, "intersect": 0}
+    # every qualifying constraint of the pair ((1, 2, 4)), ((1, -2, 4), (1, 3, 9))
+    # vanishes on (1, -2, 4), which only the second cone holds: exactly that
+    # pair falls back to an intersection (which is the zero cone)
+    fan = Fan(3, (canonicalize_cone([(1, 0, 0)]), canonicalize_cone([(1, 2, 4)]),
+                  canonicalize_cone([(1, -2, 4), (1, 3, 9)])))
+    calls.update(dd=0, rank=0)
+    assert validate_fan(fan).valid
+    assert calls["intersect"] == 1
