@@ -1,4 +1,4 @@
-"""Byte-identity sweep: every command on every fixture, hashed.
+"""Byte-identity sweep: every command on every fixture, recorded verbatim.
 
 Run from the repository root (the test suite does not collect this file):
 
@@ -9,12 +9,15 @@ fixture (``fixtures/*.json``) x {text, ``--json``}.  On ``present``,
 ``moduli`` and ``gerbe`` it also varies ``--zeros`` over no flag and the
 values in ``ZEROS``: 2352 runs on the 15 commands and 28 fixtures.  It
 writes one JSON object, one run per line, mapping each argv (joined by
-spaces, fixture paths relative to the root) to [exit code, sha256 of
-stdout, sha256 of stderr].
+spaces, fixture paths relative to the root) to [exit code, stdout text,
+stderr text].
 
-Run it on two checkouts and diff the files: equal files mean that every
-run printed the same bytes and exited with the same code.  The script
-imports the package from the ``src`` directory next to it, so each
+Equal files mean that every run printed the same bytes and exited with the
+same code.  ``fixtures/golden/outputs.json`` holds the sweep of the
+current code, and a Tier-1 test reruns the sweep in-process against it;
+write the file anew with ``--out fixtures/golden/outputs.json`` when an
+output changes on purpose, and diff it to see which runs changed.  The
+script imports the package from the ``src`` directory next to it, so each
 checkout sweeps its own code.
 """
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -52,15 +54,16 @@ def _argvs() -> list[list[str]]:
     return argvs
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _run(argv: list[str]) -> list:
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_command(argv)
-    return [code, _sha256(out.getvalue()), _sha256(err.getvalue())]
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def sweep() -> dict[str, list]:
+    """Every run, keyed by its argv joined by spaces; call it from the root."""
+    return {" ".join(argv): _run(argv) for argv in _argvs()}
 
 
 def main() -> None:
@@ -70,7 +73,7 @@ def main() -> None:
     out_path = Path(args.out).resolve() if args.out else None
     # fixture paths appear in stderr, so run from the root with relative paths
     os.chdir(ROOT)
-    results = {" ".join(argv): _run(argv) for argv in _argvs()}
+    results = sweep()
     text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                               for k, v in results.items()) + "\n}\n"
     if out_path is None:

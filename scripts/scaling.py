@@ -157,7 +157,7 @@ def _validate(doc: dict, path: Path) -> None:
     fan = polyhedral.Fan(rank, tuple(
         polyhedral.canonicalize_cone([tuple(r) for r in rays], ambient_rank=rank)
         for rays in doc["fan"]["maximal_cones"]))
-    if not polyhedral.validate_fan(fan).valid:
+    if polyhedral.validate_fan(fan):
         raise SystemExit(f"{path}: the fan does not validate")
 
 

@@ -82,11 +82,10 @@ from .stacky import (
     StackyFan,
     StackyMorphism,
     gbeta,
+    is_strict,
     present_quotient,
     reduce_nonstrict,
     split_torus_factor,
-    validate_morphism,
-    validate_stacky_fan,
 )
 from .zlinalg import IntMatrix
 
@@ -174,9 +173,9 @@ def _load_stacky_fan(doc: Any, where: str, check_fan: bool = True) -> StackyFan:
     except ValueError as e:
         raise InputError(f"{where}: {e}")
     if check_fan:
-        diag = validate_fan(fan)
-        if not diag.valid:
-            raise InputError(f"{where}.fan: " + "; ".join(diag.problems))
+        problems = validate_fan(fan)
+        if problems:
+            raise InputError(f"{where}.fan: " + "; ".join(problems))
     return sf
 
 
@@ -203,18 +202,17 @@ def _load_morphism(doc: Any, where: str) -> StackyMorphism:
     mor = StackyMorphism(
         source, target,
         IntMatrix.from_columns(phi_cols, rows=target.lattice_rank), phi)
-    diag = validate_morphism(mor)
-    if not diag.valid:
-        raise InputError(f"{where}: " + "; ".join(diag.problems))
+    if mor.problems:
+        raise InputError(f"{where}: " + "; ".join(mor.problems))
     return mor
 
 
 def _load_fan_datum(doc: Any, where: str, need_images: bool):
     rank = _rank_field(doc, "lattice_rank", where)
     fan = _load_fan(_want(doc, "fan", dict, where), rank, f"{where}.fan")
-    diag = validate_fan(fan)
-    if not diag.valid:
-        raise InputError(f"{where}.fan: " + "; ".join(diag.problems))
+    problems = validate_fan(fan)
+    if problems:
+        raise InputError(f"{where}.fan: " + "; ".join(problems))
     if not need_images:
         return fan, None
     images_doc = _want(doc, "beta_images", list, where)
@@ -375,12 +373,12 @@ def _cmd_validate(doc, args):
         text += ["  " + p for p in report["problems"]]
         return report, text
     sf = _load_stacky_fan(doc, where, check_fan=False)
-    diag = validate_stacky_fan(sf)
-    report = {"valid": diag.valid, "strict": diag.strict,
-              "problems": list(diag.problems)}
-    text = [("valid" if diag.valid else "invalid")
-            + (", strict" if diag.strict else ", not strict")]
-    text += ["  " + p for p in diag.problems]
+    problems = [f"fan: {p}" for p in validate_fan(sf.fan)]
+    strict = is_strict(sf)
+    report = {"valid": not problems, "strict": strict, "problems": problems}
+    text = [("invalid" if problems else "valid")
+            + (", strict" if strict else ", not strict")]
+    text += ["  " + p for p in problems]
     return report, text
 
 
@@ -413,13 +411,13 @@ def _cmd_fantastack(doc, args):
 
 def _cmd_canonical(doc, args):
     sf = _load_stacky_fan(doc, args.input)
-    res = canonical_stack(sf)
+    mor = canonical_stack(sf)
     report = {
-        "stacky_fan": _sf_json(res.canonical_sf),
-        "Phi_images": [list(c) for c in res.morphism.Phi.columns()],
-        "phi_images": [list(c) for c in res.morphism.phi.matrix.columns()],
+        "stacky_fan": _sf_json(mor.source),
+        "Phi_images": [list(c) for c in mor.Phi.columns()],
+        "phi_images": [list(c) for c in mor.phi.matrix.columns()],
     }
-    return report, _sf_text(res.canonical_sf)
+    return report, _sf_text(mor.source)
 
 
 def _cmd_cox(doc, args):

@@ -29,6 +29,7 @@ from .polyhedral import (
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
+    ray_images,
 )
 from .stacky import (
     QuotientPresentation,
@@ -37,7 +38,6 @@ from .stacky import (
     _orthant_ray_indices,
     present_quotient,
     primitive_collections,
-    validate_morphism,
 )
 from .zlinalg import (
     IntMatrix,
@@ -103,16 +103,11 @@ def fantastack(fan: Fan, beta_images: Sequence[Sequence[int]]) -> tuple[StackyFa
     return sf, present_quotient(sf)
 
 
-@dataclass(frozen=True)
-class CanonicalStackResult:
-    canonical_sf: StackyFan
-    morphism: StackyMorphism
-
-
-def canonical_stack(sf: StackyFan) -> CanonicalStackResult:
+def canonical_stack(sf: StackyFan) -> StackyMorphism:
     """Resolve a stacky fan by the cone over its own ray set.
 
-    Rays are enumerated in lexicographic order; the new lattice has one
+    Returns the morphism from the canonical stacky fan (its ``source``) to
+    sf.  Rays are enumerated in lexicographic order; the new lattice has one
     coordinate per ray plus a complement of the saturated ray span, and the
     fan becomes a subfan of the orthant.  The morphism maps the new basis
     vectors to the original primitive ray generators (identity on N).
@@ -133,8 +128,7 @@ def canonical_stack(sf: StackyFan) -> CanonicalStackResult:
             tuple(1 if k == pos[r] else 0 for k in range(nr)) for r in c.rays))
         new_cones.append(Cone(nr, sel))
     canonical = StackyFan(Fan(nr, tuple(new_cones)), sf.target, images)
-    morphism = StackyMorphism(canonical, sf, big, identity_hom(sf.target))
-    return CanonicalStackResult(canonical, morphism)
+    return StackyMorphism(canonical, sf, big, identity_hom(sf.target))
 
 
 def cox_presentation(fan: Fan) -> StackyFan:
@@ -143,24 +137,23 @@ def cox_presentation(fan: Fan) -> StackyFan:
     variety = StackyFan(
         fan, free_group(r),
         tuple(IntMatrix.identity(r).columns()))
-    return canonical_stack(variety).canonical_sf
+    return canonical_stack(variety).source
 
 
 def _require_valid_morphism(m: StackyMorphism) -> None:
-    diag = validate_morphism(m)
-    if not diag.valid:
+    if m.problems:
         raise PreconditionViolated(
-            "not a morphism of stacky fans: " + "; ".join(diag.problems))
+            "not a morphism of stacky fans: " + "; ".join(m.problems))
 
 
-def _onto_preimage(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
-    """The unique maximal cone of the fan mapping into target, if it maps onto it.
+def _onto_preimage(m: StackyMorphism, target: Cone) -> Optional[Cone]:
+    """The unique maximal source cone mapping into target, if it maps onto it.
 
     None when the cones mapping into target have no unique maximal element,
     or when that element's image does not fill target.
     """
-    sigma = preimage_fan(m, fan, target)
-    if sigma is None or not maps_onto(m, sigma, target):
+    sigma = preimage_fan(m.source.fan, m.ray_images, target)
+    if sigma is None or not maps_onto(m.ray_images, sigma, target):
         return None
     return sigma
 
@@ -204,19 +197,17 @@ def is_isomorphism(m: StackyMorphism) -> IsoResult:
     if not (is_surjective(m.phi) and m.phi.source == m.phi.target):
         return IsoResult(False, 1, None)
 
-    def preimage(sp: Cone) -> Optional[Cone]:
-        return _onto_preimage(m.Phi, m.source.fan, sp)
-
     # every cone must pass condition 2 before any is tested for condition 3
-    onto = [(preimage(sp), sp) for sp in m.target.fan.maximal_cones]
+    onto = [(_onto_preimage(m, sp), sp) for sp in m.target.fan.maximal_cones]
     failing = [sp for sigma, sp in onto if sigma is None]
     if failing:
         return IsoResult(False, 2, _smallest_failing_face(
-            failing, lambda f: preimage(f) is None))
-    failing = [sp for sigma, sp in onto if not monoid_iso_on_cone(m.Phi, sigma, sp)]
+            failing, lambda f: _onto_preimage(m, f) is None))
+    images = m.ray_images
+    failing = [sp for sigma, sp in onto if not monoid_iso_on_cone(images, sigma, sp)]
     if failing:
         return IsoResult(False, 3, _smallest_failing_face(
-            failing, lambda f: not monoid_iso_on_cone(m.Phi, preimage(f), f)))
+            failing, lambda f: not monoid_iso_on_cone(images, _onto_preimage(m, f), f)))
     return IsoResult(True, None, None)
 
 
@@ -250,9 +241,8 @@ def gms_check(m: StackyMorphism) -> GmsResult:
     # a fan with no cones at all has nothing to check
     tau = Cone(m.source.lattice_rank, ())
     if fan.maximal_cones:
-        tau = _onto_preimage(m.Phi, m.source.fan, Cone(fan.ambient_rank, ()))
-        if tau is None or any(_onto_preimage(m.Phi, m.source.fan, sp) is None
-                              for sp in fan.maximal_cones):
+        tau = _onto_preimage(m, Cone(fan.ambient_rank, ()))
+        if tau is None or any(_onto_preimage(m, sp) is None for sp in fan.maximal_cones):
             return GmsResult(False, "1", tau, fan)
     if not is_unstable(tau, m.source.beta):
         return GmsResult(False, "2", tau, fan)
@@ -302,16 +292,17 @@ def gms_construct(sf: StackyFan) -> GmsResult:
     phi = FgAbHom(sf.target, grp, proj)
     big_phi = proj @ beta.matrix
     rp = grp.free_rank
-    images = []
+    images = ray_images(big_phi, sf.fan)
+    cones = []
     for sigma in sf.fan.maximal_cones:
         try:
-            image = canonicalize_cone([big_phi.apply(r) for r in sigma.rays], ambient_rank=rp)
+            image = canonicalize_cone([images[r] for r in sigma.rays], ambient_rank=rp)
         except NotStronglyConvex:
             return GmsResult(False, "(ii)", tau, None)
-        if preimage_fan(big_phi, sf.fan, image) != sigma:
+        if preimage_fan(sf.fan, images, image) != sigma:
             return GmsResult(False, "(ii)", tau, None)
-        images.append(image)
-    gms_fan = Fan(rp, tuple(images))
+        cones.append(image)
+    gms_fan = Fan(rp, tuple(cones))
     target_sf = StackyFan(gms_fan, grp, tuple(IntMatrix.identity(rp).columns()))
     morphism = StackyMorphism(sf, target_sf, big_phi, phi)
     return GmsResult(True, None, tau, gms_fan, morphism)

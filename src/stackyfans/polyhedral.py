@@ -23,7 +23,9 @@ value: a cone keeps its H-representation (equations and facet normals).
 A fan keeps only its maximal cones; no command walks every cone of a fan.
 Faces come from ray-facet incidences: the ray sets of the faces are the
 intersections of facet ray sets (Kaibel & Pfetsch 2002), so subsets of
-facets are never enumerated.
+facets are never enumerated.  A lattice map on a fan is read through one
+table, the images of the fan rays (:func:`ray_images`): the preimage, fill
+and monoid-isomorphism tests take that table, not the map.
 Inputs stay modest (ambient rank up to about 20, a few dozen rays), so
 clarity wins over asymptotics throughout.
 """
@@ -280,14 +282,8 @@ def fan_rays(fan: Fan) -> list[Vec]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class FanDiagnostics:
-    valid: bool
-    problems: tuple[str, ...]
-
-
-def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Check the two fan axioms; diagnostics are values, not exceptions.
+def validate_fan(fan: Fan) -> tuple[str, ...]:
+    """Problems with the two fan axioms, empty exactly for a fan: values, not exceptions.
 
     When the fan rays are linearly independent, every cone is the face of
     the simplicial cone they span on its own rays, and two faces of a
@@ -306,7 +302,9 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     those faces are spanned by the rays of a and of b in the set ``on``
     where all qualifying constraints vanish.  When the two ray sets agree,
     a and b meet in that common face, and a cone lies in the other exactly
-    when all its rays are shared.  Each constraint carries two bitmasks
+    when all its rays are shared.  When either ray set is empty, a and b
+    meet in the zero cone, a face of each, and a cone lies in the other
+    only when it is the zero cone.  Each constraint carries two bitmasks
     over the fan rays (where it is zero, where it is <= 0), so a pair costs
     a few mask operations.  A pair the certificate cannot decide runs one
     intersection: a cone lies in another exactly when their intersection
@@ -345,8 +343,9 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
                     for zero, nonpos in masks[x]:
                         if own[y] & ~nonpos == 0:
                             on &= zero
-                shared = own[i] & on
-                if shared == own[j] & on:
+                on_a, on_b = own[i] & on, own[j] & on
+                if on_a == on_b or not (on_a and on_b):
+                    shared = on_a & on_b
                     contained += [(x, y) for x, y in ((i, j), (j, i)) if own[x] == shared]
                     continue
                 a, b = mc[i], mc[j]
@@ -364,32 +363,28 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
                         f"(intersection rays {want})")
     problems = [f"cone {i} with rays {mc[i].rays} is contained in cone {j}"
                 for i, j in sorted(contained)] + improper
-    return FanDiagnostics(valid=not problems, problems=tuple(problems))
+    return tuple(problems)
 
 
-def cone_contains_all(c: Cone, vs: Iterable[Sequence]) -> bool:
-    return all(cone_contains(c, v) for v in vs)
+def ray_images(m: IntMatrix, fan: Fan) -> dict[Vec, Vec]:
+    """The image m·r of each fan ray r, in :func:`fan_rays` order.
 
-
-def maps_into_fan(m: IntMatrix, c: Cone, fan: Fan) -> bool:
-    """Does m map the cone c into some cone of the fan?
-
-    Every cone of a fan is a face of a maximal one, so the maximal cones
-    suffice.
+    The readers below take this table instead of m: every question they ask
+    of m on the fan is a question about the images of its rays.
     """
-    imgs = [m.apply(r) for r in c.rays]
-    return any(cone_contains_all(tc, imgs) for tc in fan.maximal_cones)
+    return {r: m.apply(r) for r in fan_rays(fan)}
 
 
-def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
+def preimage_fan(fan: Fan, images: dict[Vec, Vec], target: Cone) -> Optional[Cone]:
     """The unique maximal cone of the fan mapping into target, or None.
 
-    Let S be the fan rays mapping into target.  Each is a cone mapping into
+    ``images`` is the :func:`ray_images` table of the map on the fan.  Let S
+    be the fan rays mapping into target.  Each is a cone mapping into
     target, so a unique maximal such cone has the rays S.  Conversely, if S
     spans a face M of a maximal cone, every cone mapping into target has its
     rays in S and so is a face of M: two cones of a fan meet in a common face.
     """
-    inside = tuple(r for r in fan_rays(fan) if cone_contains(target, m.apply(r)))
+    inside = tuple(r for r, w in images.items() if cone_contains(target, w))
     probe = [sum(r[i] for r in inside) for i in range(fan.ambient_rank)]
     for sigma in fan.maximal_cones:
         if (set(inside) <= set(sigma.rays)
@@ -398,39 +393,42 @@ def preimage_fan(m: IntMatrix, fan: Fan, target: Cone) -> Optional[Cone]:
     return None
 
 
-def maps_onto(m: IntMatrix, sigma: Cone, target: Cone) -> bool:
-    """Given that m maps sigma into the pointed cone target, is the image all of target?
+def maps_onto(images: dict[Vec, Vec], sigma: Cone, target: Cone) -> bool:
+    """Given that the map with these ray images sends sigma into the pointed
+    cone target, is the image all of target?
 
     An extreme ray of target inside the image cone is extreme there too, so
     the image fills target exactly when it reaches every ray of target.
     """
-    return set(target.rays) <= {primitive(m.apply(r)) for r in sigma.rays}
+    return set(target.rays) <= {primitive(images[r]) for r in sigma.rays}
 
 
-def monoid_iso_on_cone(m: IntMatrix, sigma: Cone, sigma_prime: Cone) -> bool:
-    """Does m restrict to an isomorphism of cone monoids sigma -> sigma'?
+def monoid_iso_on_cone(images: dict[Vec, Vec], sigma: Cone, sigma_prime: Cone) -> bool:
+    """Does the map m with these ray images restrict to an isomorphism of
+    cone monoids sigma -> sigma'?
 
     Precondition: m maps sigma into sigma'.  True exactly when the image
     cone fills sigma' and m is a bijection between the lattices
     L = span sigma ∩ Z^n and L' = span sigma' ∩ Z^n'; for saturated monoids
     of pointed cones that forces a monoid isomorphism.
 
-    Let R hold the rays of sigma as columns.  Once the image fills sigma',
-    m·R spans span sigma' rationally, so L and L' are the saturations of the
-    column lattices of R and m·R, of indices [L : ZR] and [L' : Z m·R], each
-    the product of the invariant factors.  m is injective on L exactly when
-    m·R has the rank of R, that is as many invariant factors.  Then
+    Let R hold the rays of sigma as columns, so that m·R holds their images.
+    Once the image fills sigma', m·R spans span sigma' rationally, so L and
+    L' are the saturations of the column lattices of R and m·R, of indices
+    [L : ZR] and [L' : Z m·R], each the product of the invariant factors.
+    m is injective on L exactly when m·R has the rank of R, that is as many
+    invariant factors.  Then
     [L' : Z m·R] = [L' : m(L)] · [m(L) : m(ZR)] = [L' : m(L)] · [L : ZR],
     so m(L) = L' exactly when the two products agree.  Two Smith forms of
     the ray matrices, and no basis of L.
     """
-    if not all(cone_contains(sigma_prime, m.apply(r)) for r in sigma.rays):
+    imgs = [images[r] for r in sigma.rays]
+    if not all(cone_contains(sigma_prime, w) for w in imgs):
         raise PreconditionViolated("cone does not map into the target cone")
-    if not maps_onto(m, sigma, sigma_prime):
+    if not maps_onto(images, sigma, sigma_prime):
         return False
-    rays = IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank)
-    before = snf(rays).invariant_factors
-    after = snf(m @ rays).invariant_factors
+    before = snf(IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank)).invariant_factors
+    after = snf(IntMatrix.from_columns(imgs, rows=sigma_prime.ambient_rank)).invariant_factors
     return len(before) == len(after) and prod(before) == prod(after)
 
 

@@ -10,6 +10,12 @@ The removed locus of that presentation is cut out by the fan's primitive
 collections (:func:`primitive_collections`), the one routine for them:
 :func:`stackyfans.constructions.moduli_description` reads the same sets as
 its intersection relations.
+
+A morphism of stacky fans computes two things once: the images of its
+source fan rays (:attr:`StackyMorphism.ray_images`), which its validation
+and every verdict on it read, and its problems
+(:attr:`StackyMorphism.problems`), a tuple of messages that is empty
+exactly for a morphism.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .fgab import (
     has_finite_cokernel,
     mapping_cone_dual,
 )
-from .polyhedral import Cone, Fan, maps_into_fan, validate_fan
+from .polyhedral import Cone, Fan, cone_contains, ray_images
 from .zlinalg import IntMatrix, Vec, cokernel_presentation, snf
 
 
@@ -66,21 +72,8 @@ class StackyFan:
             IntMatrix.from_columns(list(self.beta_images), rows=self.target.ngens))
 
 
-@dataclass(frozen=True)
-class StackyFanDiagnostics:
-    valid: bool
-    strict: bool
-    problems: tuple[str, ...]
-
-
 def is_strict(sf: StackyFan) -> bool:
     return (not sf.target.torsion) and has_finite_cokernel(sf.beta)
-
-
-def validate_stacky_fan(sf: StackyFan) -> StackyFanDiagnostics:
-    fd = validate_fan(sf.fan)
-    problems = tuple(f"fan: {p}" for p in fd.problems)
-    return StackyFanDiagnostics(valid=fd.valid, strict=is_strict(sf), problems=problems)
 
 
 def gbeta(sf: StackyFan) -> MappingConeDual:
@@ -192,12 +185,6 @@ def present_quotient(sf: StackyFan, fixed_coordinates: Sequence[int] = ()) -> Qu
 
 
 @dataclass(frozen=True)
-class MorphismDiagnostics:
-    valid: bool
-    problems: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class StackyMorphism:
     """Pair of maps (Phi on lattices of fans, phi on targets)."""
 
@@ -207,35 +194,45 @@ class StackyMorphism:
     phi: FgAbHom
 
     @cached_property
-    def diagnostics(self) -> MorphismDiagnostics:
-        """Shapes, the commuting square and the cone condition, checked once per morphism."""
-        problems = []
+    def ray_images(self) -> dict[Vec, Vec]:
+        """Phi on each source fan ray, computed once per morphism.
+
+        Needs Phi of the right shape (see :attr:`problems`).
+        """
+        return ray_images(self.Phi, self.source.fan)
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """Shapes, the commuting square and the cone condition, checked once
+        per morphism; empty exactly for a morphism of stacky fans.
+
+        The square is one product on each side, phi·B against B'·Phi, with
+        the columns reduced in the target.  A source cone maps into the
+        target fan when the images of its rays lie in one maximal target
+        cone; every cone of a fan is a face of a maximal one.
+        """
         ls, lt = self.source.lattice_rank, self.target.lattice_rank
         if self.Phi.rows != lt or self.Phi.cols != ls:
-            problems.append(
-                f"Phi is {self.Phi.rows}x{self.Phi.cols}, expected {lt}x{ls}")
-            return MorphismDiagnostics(False, tuple(problems))
+            return (f"Phi is {self.Phi.rows}x{self.Phi.cols}, expected {lt}x{ls}",)
         if self.phi.source != self.source.target or self.phi.target != self.target.target:
-            problems.append("phi endpoints do not match the stacky fan targets")
-            return MorphismDiagnostics(False, tuple(problems))
-        bs, bt = self.source.beta, self.target.beta
-        for i in range(ls):
-            e = tuple(1 if k == i else 0 for k in range(ls))
-            left = self.phi.apply(bs.apply(e))
-            right = bt.apply(self.Phi.apply(e))
-            if left != right:
+            return ("phi endpoints do not match the stacky fan targets",)
+        problems = []
+        reduce = self.target.target.reduce
+        left = (self.phi.matrix @ self.source.beta.matrix).columns()
+        right = (self.target.beta.matrix @ self.Phi).columns()
+        for i, (a, b) in enumerate(zip(left, right)):
+            a, b = reduce(a), reduce(b)
+            if a != b:
                 problems.append(
                     f"square does not commute on basis vector {i + 1}: "
-                    f"phi(beta(e)) = {left}, beta'(Phi(e)) = {right}")
+                    f"phi(beta(e)) = {a}, beta'(Phi(e)) = {b}")
+        images = self.ray_images
         for c in self.source.fan.maximal_cones:
-            if not maps_into_fan(self.Phi, c, self.target.fan):
+            if not any(all(cone_contains(tc, images[r]) for r in c.rays)
+                       for tc in self.target.fan.maximal_cones):
                 problems.append(
                     f"image of cone with rays {c.rays} lies in no target cone")
-        return MorphismDiagnostics(valid=not problems, problems=tuple(problems))
-
-
-def validate_morphism(m: StackyMorphism) -> MorphismDiagnostics:
-    return m.diagnostics
+        return tuple(problems)
 
 
 def reduce_nonstrict(sf: StackyFan) -> tuple[StackyFan, tuple[int, ...]]:

@@ -58,6 +58,7 @@ from stackyfans.polyhedral import (
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
+    ray_images,
     validate_fan,
 )
 from stackyfans.stacky import (
@@ -66,7 +67,6 @@ from stackyfans.stacky import (
     _orthant_ray_indices,
     gbeta,
     reduce_nonstrict,
-    validate_morphism,
 )
 from stackyfans.zlinalg import (
     FgAbGroup,
@@ -641,27 +641,32 @@ def _all_cones(fan):
     return [seen[k] for k in sorted(seen, key=lambda rays: (len(rays), rays))]
 
 
-def _preimage_all_cones(m, fan, target):
+def _cone_images(m, sigma):
+    """The ray-image table of m on the fan of one cone sigma."""
+    return ray_images(m, Fan(sigma.ambient_rank, (sigma,)))
+
+
+def _preimage_all_cones(fan, images, target):
     """Reference preimage_fan: filter every cone by the rays mapping into target."""
-    inside = {r for r in fan_rays(fan) if cone_contains(target, m.apply(r))}
+    inside = {r for r, w in images.items() if cone_contains(target, w)}
     maximal = maximal_among([c for c in _all_cones(fan) if inside.issuperset(c.rays)])
     return maximal[0] if len(maximal) == 1 else None
 
 
-def _onto_preimage_canonical(m, fan, target):
+def _onto_preimage_canonical(fan, images, target):
     """Reference onto-preimage: canonicalize the image of the preimage cone."""
-    sigma = preimage_fan(m, fan, target)
+    sigma = preimage_fan(fan, images, target)
     if sigma is None or canonicalize_cone(
-            [m.apply(r) for r in sigma.rays], target.ambient_rank) != target:
+            [images[r] for r in sigma.rays], target.ambient_rank) != target:
         return None
     return sigma
 
 
 def _monoid_iso_solving(m, sigma, sigma_prime):
-    """Reference monoid_iso_on_cone: canonicalize the image, then write m on
-    a basis of span sigma ∩ N in a basis of span sigma' ∩ N and ask for a
-    square matrix of determinant +-1."""
-    imgs = [m.apply(r) for r in sigma.rays]
+    """Reference monoid_iso_on_cone on the morphism m: canonicalize the
+    image, then write Phi on a basis of span sigma ∩ N in a basis of
+    span sigma' ∩ N and ask for a square matrix of determinant +-1."""
+    imgs = [m.ray_images[r] for r in sigma.rays]
     if not all(cone_contains(sigma_prime, w) for w in imgs):
         raise PreconditionViolated("cone does not map into the target cone")
     if canonicalize_cone(imgs, sigma_prime.ambient_rank) != sigma_prime:
@@ -670,7 +675,7 @@ def _monoid_iso_solving(m, sigma, sigma_prime):
     span_p = saturate(IntMatrix.from_columns(list(sigma_prime.rays),
                                              rows=sigma_prime.ambient_rank))
     cols = []
-    for c in (m @ span).columns():
+    for c in (m.Phi @ span).columns():
         x = solve_integer(span_p, c)
         if x is None:
             return False
@@ -679,10 +684,35 @@ def _monoid_iso_solving(m, sigma, sigma_prime):
     return x.rows == x.cols and abs(determinant(x)) == 1
 
 
+def _morphism_problems_per_vector(m):
+    """Reference StackyMorphism.problems: the square on one basis vector at a
+    time, and every source cone's ray images against every target cone."""
+    ls, lt = m.source.lattice_rank, m.target.lattice_rank
+    if m.Phi.rows != lt or m.Phi.cols != ls:
+        return (f"Phi is {m.Phi.rows}x{m.Phi.cols}, expected {lt}x{ls}",)
+    if m.phi.source != m.source.target or m.phi.target != m.target.target:
+        return ("phi endpoints do not match the stacky fan targets",)
+    problems = []
+    bs, bt = m.source.beta, m.target.beta
+    for i in range(ls):
+        e = tuple(1 if k == i else 0 for k in range(ls))
+        left = m.phi.apply(bs.apply(e))
+        right = bt.apply(m.Phi.apply(e))
+        if left != right:
+            problems.append(
+                f"square does not commute on basis vector {i + 1}: "
+                f"phi(beta(e)) = {left}, beta'(Phi(e)) = {right}")
+    for c in m.source.fan.maximal_cones:
+        imgs = [m.Phi.apply(r) for r in c.rays]
+        if not any(all(cone_contains(tc, w) for w in imgs) for tc in m.target.fan.maximal_cones):
+            problems.append(f"image of cone with rays {c.rays} lies in no target cone")
+    return tuple(problems)
+
+
 def _require_valid(m):
-    diag = validate_morphism(m)
-    if not diag.valid:
-        raise PreconditionViolated("not a morphism of stacky fans: " + "; ".join(diag.problems))
+    problems = _morphism_problems_per_vector(m)
+    if problems:
+        raise PreconditionViolated("not a morphism of stacky fans: " + "; ".join(problems))
 
 
 def _is_isomorphism_all_cones(m):
@@ -695,12 +725,12 @@ def _is_isomorphism_all_cones(m):
         return IsoResult(False, 1, None)
     onto = []
     for sp in _all_cones(m.target.fan):
-        sigma = _onto_preimage_canonical(m.Phi, m.source.fan, sp)
+        sigma = _onto_preimage_canonical(m.source.fan, m.ray_images, sp)
         if sigma is None:
             return IsoResult(False, 2, sp)
         onto.append((sigma, sp))
     for sigma, sp in onto:
-        if not _monoid_iso_solving(m.Phi, sigma, sp):
+        if not _monoid_iso_solving(m, sigma, sp):
             return IsoResult(False, 3, sp)
     return IsoResult(True, None, None)
 
@@ -712,7 +742,7 @@ def _gms_check_all_cones(m):
         raise PreconditionViolated("good moduli space check needs finite cokernel")
     tau = None
     for sp in _all_cones(m.target.fan):
-        sigma = _onto_preimage_canonical(m.Phi, m.source.fan, sp)
+        sigma = _onto_preimage_canonical(m.source.fan, m.ray_images, sp)
         if sigma is None:
             return GmsResult(False, "1", tau, m.target.fan)
         if not sp.rays:
@@ -828,7 +858,7 @@ def suite_reduce_invariance(cases=500, seed=404):
     failures = []
     for _ in range(cases):
         sf = _random_stacky_fan(rng)
-        if not validate_fan(sf.fan).valid:
+        if validate_fan(sf.fan):
             failures.append(f"generator made an invalid fan: {sf.fan}")
             continue
         reduced, _ = reduce_nonstrict(sf)
@@ -897,7 +927,7 @@ def _morphism_pool():
                                identity_hom(z1))
     a1_canonical = canonical_stack(
         StackyFan(Fan(2, (cone((1, 0), (1, 2), rank=2),)), z2,
-                  ((1, 0), (0, 1)))).morphism
+                  ((1, 0), (0, 1))))
     a2_to_point = StackyMorphism(
         StackyFan(quad, z1, ((1,), (-1,))), point_sf, IntMatrix(0, 2, ()),
         FgAbHom(z1, free_group(0), IntMatrix(0, 1, ())))
@@ -1016,7 +1046,7 @@ def _verdict_morphisms(rng, cases):
                 sf = StackyFan(sf.fan, free_group(n), tuple(IntMatrix.identity(n).columns()))
             if not has_finite_cokernel(sf.beta):
                 continue
-            m = canonical_stack(sf).morphism
+            m = canonical_stack(sf)
             if kind == "dropped" and m.source.fan.maximal_cones:
                 m = _drop_source_cone(m, rng)
             if not m.target.target.torsion and rng.random() < 0.5:
@@ -1157,7 +1187,7 @@ def suite_monoid_iso_bruteforce(cases=500, seed=707):
             continue
         if not all(cone_contains(sigma_prime, w) for w in imgs):
             try:
-                monoid_iso_on_cone(m, sigma, sigma_prime)
+                monoid_iso_on_cone(_cone_images(m, sigma), sigma, sigma_prime)
                 failures.append(
                     f"m={m.entries} {sigma.rays}->{sigma_prime.rays}: "
                     "missing precondition error")
@@ -1165,7 +1195,7 @@ def suite_monoid_iso_bruteforce(cases=500, seed=707):
                 pass
             done += 1
             continue
-        got = monoid_iso_on_cone(m, sigma, sigma_prime)
+        got = monoid_iso_on_cone(_cone_images(m, sigma), sigma, sigma_prime)
         want = _brute_monoid_iso(m, sigma, sigma_prime)
         if got != want:
             failures.append(

@@ -122,7 +122,7 @@ def test_acceptance_3_good_moduli_spaces():
 
     for variety in (StackyFan(A1_CONE_FAN, Z2, ((1, 0), (0, 1))),
                     StackyFan(P2_FAN, Z2, ((1, 0), (0, 1)))):
-        check = gms_check(canonical_stack(variety).morphism)
+        check = gms_check(canonical_stack(variety))
         if not check.verdict:
             problems.append(
                 f"canonical stack morphism failed at {check.failing_condition}")
@@ -155,7 +155,7 @@ def test_acceptance_4_isomorphism_decisions():
     if not res.verdict:
         problems.append("trap pair not confirmed isomorphic")
 
-    bad = canonical_stack(StackyFan(A1_CONE_FAN, Z2, ((1, 0), (0, 1)))).morphism
+    bad = canonical_stack(StackyFan(A1_CONE_FAN, Z2, ((1, 0), (0, 1))))
     res = is_isomorphism(bad)
     if res.verdict or res.failing_condition != 3:
         problems.append(

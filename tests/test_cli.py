@@ -1,5 +1,6 @@
 """CLI round trips against frozen output files, plus the exit-code matrix."""
 
+import importlib.util
 import json
 import pathlib
 import random
@@ -17,6 +18,7 @@ from property_suites import (
 )
 from stackyfans import polyhedral
 from stackyfans.cli import _COMMANDS, MAX_RANK, _sf_json, run_command
+from stackyfans.zlinalg import IntMatrix
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -53,6 +55,22 @@ def test_golden_output(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_every_sweep_run_matches_its_golden(monkeypatch):
+    # scripts/outputs.py: every command on every fixture, text and --json,
+    # with its --zeros variants; stderr names fixtures relative to the root
+    spec = importlib.util.spec_from_file_location(
+        "outputs_sweep", FIXTURES.parent / "scripts" / "outputs.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.chdir(FIXTURES.parent)
+    got = sweep.sweep()
+    want = json.loads((GOLDEN / "outputs.json").read_text(encoding="utf-8"))
+    assert list(got) == list(want)
+    differ = [argv for argv, result in want.items() if got[argv] != result]
+    assert differ == [], (f"{len(differ)} runs differ, first {differ[0]}: "
+                          f"got {got[differ[0]]}, golden {want[differ[0]]}")
+
+
 def test_output_is_deterministic(capsys):
     results = []
     for _ in range(2):
@@ -87,12 +105,23 @@ def test_validate_detects_morphism_files(capsys):
 
 @pytest.mark.parametrize("command", ["iso", "gms-check"])
 def test_morphism_requests_validate_the_morphism_once(capsys, monkeypatch, command):
-    # the loader validates the morphism and the verdict reuses that result,
-    # so maps_into_fan runs once per source maximal cone (three here)
-    calls = count_calls(monkeypatch, polyhedral.maps_into_fan)
+    # Phi is applied once per source fan ray (three here) and never again:
+    # the loader's validation and the verdict read that one table, and the
+    # commuting square is one matrix product per side.  The membership tests
+    # are the cone condition's and the preimages'.
+    applied = []
+    apply = IntMatrix.apply
+
+    def counting_apply(m, v):
+        applied.append(v)
+        return apply(m, v)
+
+    monkeypatch.setattr(IntMatrix, "apply", counting_apply)
+    tested = count_calls(monkeypatch, polyhedral.cone_contains)
     code, _, err = _run(capsys, command, "--input", FIXTURES / "p2_cox_morphism.json", "--json")
     assert code == 0, err
-    assert len(calls) == 3
+    assert sorted(applied) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert len(tested) == {"iso": 25, "gms-check": 22}[command]
 
 
 def test_malformed_input_names_file_and_field(capsys):

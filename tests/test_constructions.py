@@ -51,13 +51,12 @@ from stackyfans.polyhedral import (
     PreconditionViolated,
     canonicalize_cone,
     cone_contains,
-    cone_contains_all,
     fan_rays,
     halfspace_intersection,
     is_unstable,
     maximal_among,
-    maps_into_fan,
     monoid_iso_on_cone,
+    ray_images,
 )
 from stackyfans.stacky import NotSubfanOfAffineSpace, StackyFan, StackyMorphism
 from stackyfans.zlinalg import IntMatrix, cokernel_presentation, row_rank, saturate, snf
@@ -145,11 +144,12 @@ def test_fantastack_tests_each_membership_once(monkeypatch):
 
 def test_canonical_stack_of_a1_variety():
     variety = _sf(A1_CONE_FAN, free_group(2), [(1, 0), (0, 1)])
-    res = canonical_stack(variety)
-    assert res.canonical_sf.fan == QUAD_FAN
-    assert res.canonical_sf.beta_images == ((1, 0), (1, 2))
-    assert res.morphism.Phi.columns() == [(1, 0), (1, 2)]
-    iso = is_isomorphism(res.morphism)
+    mor = canonical_stack(variety)
+    assert mor.source.fan == QUAD_FAN
+    assert mor.source.beta_images == ((1, 0), (1, 2))
+    assert mor.target == variety
+    assert mor.Phi.columns() == [(1, 0), (1, 2)]
+    iso = is_isomorphism(mor)
     assert not iso.verdict
     assert iso.failing_condition == 3
     assert iso.witness_cone == _cone((1, 0), (1, 2))
@@ -157,16 +157,15 @@ def test_canonical_stack_of_a1_variety():
 
 def test_canonical_stack_smooth_input_is_iso():
     smooth = _sf(QUAD_FAN, free_group(2), [(1, 0), (0, 1)])
-    res = canonical_stack(smooth)
-    assert is_isomorphism(res.morphism).verdict
+    assert is_isomorphism(canonical_stack(smooth)).verdict
 
 
 def test_canonical_stack_square_cone():
     rays = [(0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
     variety = _sf(Fan(3, (_cone(*rays),)), free_group(3), IntMatrix.identity(3).columns())
-    res = canonical_stack(variety)
+    mor = canonical_stack(variety)
     from stackyfans.stacky import gbeta
-    mc = gbeta(res.canonical_sf)
+    mc = gbeta(mor.source)
     assert mc.g1.group == FgAbGroup(1, ())
     # lexicographic ray order pins the weight signs
     assert mc.g1.weights.entries == ((1, -1, -1, 1),)
@@ -189,7 +188,7 @@ def test_canonical_stack_matches_inverting_reference():
     seen = set()
     for _ in range(300):
         sf = _embedded_stacky_fan(rng)
-        assert canonical_stack(sf).morphism.Phi == _canonical_phi_inverting(sf), sf
+        assert canonical_stack(sf).Phi == _canonical_phi_inverting(sf), sf
         rays = IntMatrix.from_columns(fan_rays(sf.fan), rows=4)
         factors = snf(rays).invariant_factors
         seen.add((len(factors), any(f > 1 for f in factors)))
@@ -201,7 +200,7 @@ def test_canonical_stack_makes_two_smith_forms(monkeypatch):
              [(1, 0), (0, 1), (2, 1)])
     smith = count_calls(monkeypatch, zlinalg.snf)
     # two rays spanning an index-2 sublattice of a rank-2 saturation
-    assert canonical_stack(sf).morphism.Phi.cols == 3
+    assert canonical_stack(sf).Phi.cols == 3
     assert len(smith) == 2
 
 
@@ -322,7 +321,7 @@ def test_gms_check_canonical_stack_morphisms():
         _sf(A1_CONE_FAN, free_group(2), [(1, 0), (0, 1)]),
         _sf(P2_FAN, free_group(2), [(1, 0), (0, 1)]),
     ):
-        res = gms_check(canonical_stack(variety).morphism)
+        res = gms_check(canonical_stack(variety))
         assert res.verdict, res.failing_condition
 
 
@@ -392,6 +391,7 @@ def _reference_gms(sf):
     grp, proj = cokernel_presentation(
         saturate((beta_mat @ tspan).hstack(sf.target.relations())))
     big_phi = proj @ beta_mat
+    images = ray_images(big_phi, sf.fan)
     kept = []
     for c in _all_cones(sf.fan):
         try:
@@ -399,10 +399,11 @@ def _reference_gms(sf):
                                      ambient_rank=grp.free_rank)
         except NotStronglyConvex:
             continue
-        if cand not in kept and _onto_preimage_canonical(big_phi, sf.fan, cand) is not None:
+        if cand not in kept and _onto_preimage_canonical(sf.fan, images, cand) is not None:
             kept.append(cand)
     fan = Fan(grp.free_rank, tuple(
-        c for c in kept if not any(c != d and cone_contains_all(d, c.rays) for d in kept)))
+        c for c in kept
+        if not any(c != d and all(cone_contains(d, v) for v in c.rays) for d in kept)))
     fits = all(any(all(cone_contains(tc, big_phi.apply(r)) for r in c.rays)
                    for tc in _all_cones(fan))
                for c in sf.fan.maximal_cones)
@@ -461,15 +462,18 @@ def _gms_all_cones(sf):
         except NotStronglyConvex:
             continue
         candidates[cand.rays] = cand
+    images = ray_images(big_phi, sf.fan)
     kept = {}
     for cand in candidates.values():
-        sigma = _preimage_all_cones(big_phi, sf.fan, cand)
+        sigma = _preimage_all_cones(sf.fan, images, cand)
         if sigma is not None and all(
                 _in_generated_cone([big_phi.apply(r) for r in sigma.rays], w, rp)
                 for w in cand.rays):
             kept[sigma] = cand
     gms_fan = Fan(rp, tuple(kept[sigma] for sigma in maximal_among(list(kept))))
-    if not all(maps_into_fan(big_phi, c, gms_fan) for c in sf.fan.maximal_cones):
+    if not all(any(all(cone_contains(tc, big_phi.apply(r)) for r in c.rays)
+                   for tc in gms_fan.maximal_cones)
+               for c in sf.fan.maximal_cones):
         return GmsResult(False, "(ii)", tau, gms_fan)
     target_sf = StackyFan(gms_fan, grp, tuple(IntMatrix.identity(rp).columns()))
     return GmsResult(True, None, tau, gms_fan, StackyMorphism(sf, target_sf, big_phi, phi))
@@ -576,12 +580,12 @@ def test_gms_check_builds_no_kernel_lattice(monkeypatch):
 def test_verdicts_on_success_read_only_the_maximal_cones(monkeypatch):
     # the canonical morphism of (P^1)^3: 8 maximal target cones of 27
     fan = Fan(3, tuple(_cone_pool(3, 2, ())))
-    m = canonical_stack(_sf(fan, free_group(3), IntMatrix.identity(3).columns())).morphism
+    m = canonical_stack(_sf(fan, free_group(3), IntMatrix.identity(3).columns()))
     tested = []
 
-    def counting(phi, sigma, sigma_prime):
+    def counting(images, sigma, sigma_prime):
         tested.append(sigma_prime)
-        return monoid_iso_on_cone(phi, sigma, sigma_prime)
+        return monoid_iso_on_cone(images, sigma, sigma_prime)
 
     def no_faces(c):
         raise AssertionError("a successful verdict walked the faces of a cone")

@@ -9,6 +9,7 @@ import pytest
 
 from property_suites import (
     _all_cones,
+    _cone_images,
     _in_generated_cone,
     _preimage_all_cones,
     _rand_matrix,
@@ -38,6 +39,7 @@ from stackyfans.polyhedral import (
     monoid_iso_on_cone,
     preimage_fan,
     primitive,
+    ray_images,
     unstable_face,
     validate_fan,
 )
@@ -296,41 +298,51 @@ def test_validate_fan_accepts_p2():
     p2 = Fan(2, (canonicalize_cone([(1, 0), (0, 1)]),
                  canonicalize_cone([(1, 0), (-1, -1)]),
                  canonicalize_cone([(0, 1), (-1, -1)])))
-    diag = validate_fan(p2)
-    assert diag.valid and diag.problems == ()
+    assert validate_fan(p2) == ()
     assert sorted(fan_rays(p2)) == [(-1, -1), (0, 1), (1, 0)]
     assert len(_all_cones(p2)) == 7
 
 
 def test_validate_fan_rejects_overlap():
     bad = Fan(2, (QUAD, canonicalize_cone([(1, 1), (-1, 1)])))
-    diag = validate_fan(bad)
-    assert not diag.valid
-    assert any("common face" in p for p in diag.problems)
+    problems = validate_fan(bad)
+    assert any("common face" in p for p in problems)
 
 
 def test_validate_fan_rejects_contained_maximal_cone():
     bad = Fan(2, (QUAD, canonicalize_cone([(1, 1)], ambient_rank=2)))
-    diag = validate_fan(bad)
-    assert not diag.valid
+    assert validate_fan(bad) == (
+        "cone 0 with rays ((1, 1),) is contained in cone 1",
+        "cones 0 and 1 do not meet along a common face (intersection rays ((1, 1),))")
+
+
+def test_ray_images_follow_fan_rays():
+    fan = Fan(2, (QUAD, canonicalize_cone([(0, 1), (-1, 1)])))
+    m = IntMatrix.from_rows([[1, 2], [0, 3]])
+    assert list(ray_images(m, fan).items()) == [
+        ((-1, 1), (1, 3)), ((0, 1), (2, 3)), ((1, 0), (1, 0))]
+    assert list(ray_images(m, fan)) == fan_rays(fan)
+    assert ray_images(m, Fan(2, ())) == {}
 
 
 def test_preimage_fan():
     fan = Fan(2, (QUAD,))
     m = IntMatrix.identity(2)
-    assert preimage_fan(m, fan, QUAD) == QUAD
+    assert preimage_fan(fan, ray_images(m, fan), QUAD) == QUAD
     # only the origin maps into the zero cone
     zero = canonicalize_cone([], ambient_rank=2)
-    assert preimage_fan(m, fan, zero) == zero
+    assert preimage_fan(fan, ray_images(m, fan), zero) == zero
     # collapse onto the x-axis: the whole quadrant maps into the ray
     proj = IntMatrix.from_rows([[1, 0], [0, 0]])
-    assert preimage_fan(proj, fan, canonicalize_cone([(1, 0)], ambient_rank=2)) == QUAD
+    x_axis = canonicalize_cone([(1, 0)], ambient_rank=2)
+    assert preimage_fan(fan, ray_images(proj, fan), x_axis) == QUAD
     # two rays of different cones map into the ray: no single cone
     two_rays = Fan(2, (canonicalize_cone([(1, 0)]), canonicalize_cone([(0, 1)])))
     half_line = canonicalize_cone([(1,)])
-    assert preimage_fan(IntMatrix.from_rows([[1, 1]]), two_rays, half_line) is None
+    sum_map = IntMatrix.from_rows([[1, 1]])
+    assert preimage_fan(two_rays, ray_images(sum_map, two_rays), half_line) is None
     # the fan with no cones has no preimage cone at all
-    assert preimage_fan(m, Fan(2, ()), QUAD) is None
+    assert preimage_fan(Fan(2, ()), {}, QUAD) is None
 
 
 def _random_target(rng, rank):
@@ -361,8 +373,9 @@ def test_preimage_fan_matches_all_cones_reference():
                 continue
         else:
             target = _random_target(rng, m.rows)
-        got = preimage_fan(m, sf.fan, target)
-        assert got == _preimage_all_cones(m, sf.fan, target), (sf.fan, m, target)
+        images = ray_images(m, sf.fan)
+        got = preimage_fan(sf.fan, images, target)
+        assert got == _preimage_all_cones(sf.fan, images, target), (sf.fan, m, target)
         found += got is not None
         missing += got is None
         nonsimplicial += any(len(c.rays) > row_rank(c.rays) for c in sf.fan.maximal_cones)
@@ -410,33 +423,36 @@ def test_unstable_faces_give_the_maximal_unstable_cones():
     assert proper >= 50
 
 
+def _monoid_iso(m, sigma, sigma_prime):
+    return monoid_iso_on_cone(_cone_images(m, sigma), sigma, sigma_prime)
+
+
 def test_monoid_iso_identity_and_index():
-    assert monoid_iso_on_cone(IntMatrix.identity(2), QUAD, QUAD)
-    assert not monoid_iso_on_cone(IntMatrix.from_rows([[2, 0], [0, 2]]),
-                                  QUAD, QUAD)
+    assert _monoid_iso(IntMatrix.identity(2), QUAD, QUAD)
+    assert not _monoid_iso(IntMatrix.from_rows([[2, 0], [0, 2]]), QUAD, QUAD)
     with pytest.raises(PreconditionViolated):
-        monoid_iso_on_cone(IntMatrix.from_rows([[-1, 0], [0, 1]]), QUAD, QUAD)
+        _monoid_iso(IntMatrix.from_rows([[-1, 0], [0, 1]]), QUAD, QUAD)
 
 
 def test_monoid_iso_needs_filled_image():
     # x-axis ray into the quadrant: injective but far from onto
     ray = canonicalize_cone([(1, 0)], ambient_rank=2)
-    assert not monoid_iso_on_cone(IntMatrix.identity(2), ray, QUAD)
+    assert not _monoid_iso(IntMatrix.identity(2), ray, QUAD)
     # projection of the quadrant onto its ray is onto but not injective
     proj = IntMatrix.from_rows([[1, 1]])
-    assert not monoid_iso_on_cone(proj, QUAD, canonicalize_cone([(1,)], ambient_rank=1))
+    assert not _monoid_iso(proj, QUAD, canonicalize_cone([(1,)], ambient_rank=1))
 
 
 def test_monoid_iso_a1_cone_vs_quadrant():
     m = IntMatrix.from_columns([(1, 0), (1, 2)], rows=2)
     # the quadrant maps onto the A1 cone but the lattice index is 2
-    assert not monoid_iso_on_cone(m, QUAD, A1)
+    assert not _monoid_iso(m, QUAD, A1)
 
 
 def _monoid_iso_saturating(m, sigma, sigma_prime):
     """Reference monoid_iso_on_cone: m·S extends to a lattice basis, with S
     a basis of the saturated span of sigma."""
-    if not polyhedral.maps_onto(m, sigma, sigma_prime):
+    if not polyhedral.maps_onto(_cone_images(m, sigma), sigma, sigma_prime):
         return False
     span = saturate(IntMatrix.from_columns(sigma.rays, rows=sigma.ambient_rank))
     factors = snf(m @ span).invariant_factors
@@ -466,7 +482,7 @@ def test_monoid_iso_matches_saturating_reference():
     verdicts = set()
     for m, sigma, image in _monoid_cases(random.Random(41), 600):
         want = _monoid_iso_saturating(m, sigma, image)
-        assert monoid_iso_on_cone(m, sigma, image) == want, (m.entries, sigma.rays)
+        assert _monoid_iso(m, sigma, image) == want, (m.entries, sigma.rays)
         verdicts.add((want, len(sigma.rays) < sigma.ambient_rank))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -474,7 +490,7 @@ def test_monoid_iso_matches_saturating_reference():
 def test_monoid_iso_saturates_nothing(monkeypatch):
     saturations = count_calls(monkeypatch, zlinalg.saturate)
     for m, sigma, image in _monoid_cases(random.Random(43), 50):
-        monoid_iso_on_cone(m, sigma, image)
+        _monoid_iso(m, sigma, image)
     assert saturations == []
 
 

@@ -3,20 +3,28 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from property_suites import _random_group, _split_torus_factor_solving, count_calls
+from property_suites import (
+    _morphism_problems_per_vector,
+    _random_group,
+    _split_torus_factor_solving,
+    _verdict_morphisms,
+    count_calls,
+)
 from stackyfans import zlinalg
 from stackyfans.fgab import (
     FgAbGroup,
     FgAbHom,
+    MalformedHom,
     free_group,
     has_finite_cokernel,
     identity_hom,
     mapping_cone_dual,
 )
-from stackyfans.polyhedral import Cone, Fan, canonicalize_cone
+from stackyfans.polyhedral import Cone, Fan, canonicalize_cone, validate_fan
 from stackyfans.stacky import (
     NotSubfanOfAffineSpace,
     StackyFan,
@@ -27,8 +35,6 @@ from stackyfans.stacky import (
     primitive_collections,
     reduce_nonstrict,
     split_torus_factor,
-    validate_morphism,
-    validate_stacky_fan,
 )
 from stackyfans.zlinalg import IntMatrix, row_rank
 
@@ -73,15 +79,13 @@ def test_strictness():
 
 
 def test_validate_stacky_fan():
-    diag = validate_stacky_fan(A1_SF)
-    assert diag.valid and diag.strict
-    diag = validate_stacky_fan(M_BAR)
-    assert diag.valid and not diag.strict
+    # what the validate command reads: the fan's problems and strictness
+    assert validate_fan(A1_SF.fan) == () and is_strict(A1_SF)
+    assert validate_fan(M_BAR.fan) == () and not is_strict(M_BAR)
     bad = StackyFan(Fan(2, (_cone((1, 0), (0, 1)), _cone((1, 1), (-1, 1)))),
                     free_group(2), ((1, 0), (0, 1)))
-    diag = validate_stacky_fan(bad)
-    assert not diag.valid
-    assert any("common face" in p for p in diag.problems)
+    problems = validate_fan(bad.fan)
+    assert problems and all("common face" in p for p in problems)
 
 
 def test_gbeta_matches_mapping_cone():
@@ -194,8 +198,8 @@ def test_validate_morphism_good():
     mor = StackyMorphism(P1_COX, target,
                          IntMatrix.from_rows([[1, -1]]),
                          identity_hom(free_group(1)))
-    diag = validate_morphism(mor)
-    assert diag.valid, diag.problems
+    assert mor.problems == ()
+    assert mor.ray_images == {(0, 1): (-1,), (1, 0): (1,)}
 
 
 def test_validate_morphism_catches_noncommuting():
@@ -204,9 +208,8 @@ def test_validate_morphism_catches_noncommuting():
     mor = StackyMorphism(P1_COX, target,
                          IntMatrix.from_rows([[1, 1]]),
                          identity_hom(free_group(1)))
-    diag = validate_morphism(mor)
-    assert not diag.valid
-    assert any("commute" in p for p in diag.problems)
+    assert mor.problems == (
+        "square does not commute on basis vector 2: phi(beta(e)) = (-1,), beta'(Phi(e)) = (1,)",)
 
 
 def test_validate_morphism_catches_fan_incompatibility():
@@ -215,9 +218,55 @@ def test_validate_morphism_catches_fan_incompatibility():
                        ((1, 0), (0, 1)))
     mor = StackyMorphism(A1_SF, a1_var,
                          IntMatrix.identity(2), identity_hom(free_group(2)))
-    diag = validate_morphism(mor)
-    assert not diag.valid
-    assert any("cone" in p for p in diag.problems)
+    # (the betas differ too, so the square fails on e_2 first)
+    assert mor.problems == (
+        "square does not commute on basis vector 2: phi(beta(e)) = (1, 2), beta'(Phi(e)) = (0, 1)",
+        "image of cone with rays ((0, 1), (1, 0)) lies in no target cone")
+
+
+def _moved_entry(m, rng):
+    rows = [list(r) for r in m.entries]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice((-1, 1))
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+def _broken_variants(m, rng):
+    """m with one entry of Phi moved, with one of phi moved, with a maximal
+    cone of the target fan dropped, and with a row too many in Phi."""
+    out = []
+    if m.Phi.rows and m.Phi.cols:
+        out.append(StackyMorphism(m.source, m.target, _moved_entry(m.Phi, rng), m.phi))
+    if m.phi.matrix.rows and m.phi.matrix.cols:
+        try:
+            phi = FgAbHom(m.phi.source, m.phi.target, _moved_entry(m.phi.matrix, rng))
+            out.append(StackyMorphism(m.source, m.target, m.Phi, phi))
+        except MalformedHom:
+            pass
+    cones = m.target.fan.maximal_cones
+    if cones:
+        k = rng.randrange(len(cones))
+        fan = Fan(m.target.lattice_rank, cones[:k] + cones[k + 1:])
+        target = StackyFan(fan, m.target.target, m.target.beta_images)
+        out.append(StackyMorphism(m.source, target, m.Phi, m.phi))
+    taller = IntMatrix.from_rows(m.Phi.entries + ((0,) * m.Phi.cols,), cols=m.Phi.cols)
+    out.append(StackyMorphism(m.source, m.target, taller, m.phi))
+    return out
+
+
+def test_problems_match_the_per_vector_reference():
+    rng = random.Random(71)
+    seen = Counter()
+    for _, m in _verdict_morphisms(rng, 300):
+        for mor in [m] + _broken_variants(m, rng):
+            want = _morphism_problems_per_vector(mor)
+            assert mor.problems == want, mor
+            seen["morphism"] += not want
+            seen["shape"] += bool(want) and want[0].startswith("Phi is")
+            seen["square"] += any("commute" in p for p in want)
+            seen["cone"] += any("no target cone" in p for p in want)
+            seen["both"] += (any("commute" in p for p in want)
+                             and any("no target cone" in p for p in want))
+    assert all(seen[k] >= 50 for k in ("morphism", "shape", "square", "cone", "both")), seen
 
 
 # ---------------------------------------------------------------------------
